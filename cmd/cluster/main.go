@@ -8,24 +8,21 @@
 //
 //	cluster -mode scheduler [-addr 127.0.0.1:7077] [-lease 10m] [-stats 30s] [-events]
 //	                        [-queue-depth 4096] [-queue-shards 8] [-coalesce 0]
-//	cluster -mode worker    [-addr 127.0.0.1:7077] [-name w0] [-seed 2023] [-task-timeout 2h] [-heartbeat 15s] [-transport binary|json]
+//	cluster -mode worker    [-addr 127.0.0.1:7077] [-name w0] [-seed 2023] [-task-timeout 2h] [-heartbeat 15s]
 //	                        [-mux-conns 0] [-coalesce 0]
-//	cluster -mode drive     [-addr 127.0.0.1:7077] [-runs 1] [-pop 20] [-gens 3] [-transport binary|json]
+//	cluster -mode drive     [-addr 127.0.0.1:7077] [-runs 1] [-pop 20] [-gens 3]
 //	                        [-mux-conns 0] [-coalesce 0]
 //
-// Workers and drivers frame their connection with the length-prefixed
-// binary wire protocol by default; -transport json selects the legacy
-// JSON framing.  The scheduler needs no flag — it sniffs the first byte
-// of each connection and speaks whichever framing the peer chose, so
-// mixed fleets interoperate.
+// Every connection is framed with the length-prefixed binary wire
+// protocol (internal/cluster/wire); the scheduler drops a connection
+// whose frames do not decode.
 //
 // -mux-conns N (workers and drivers) multiplexes every logical
 // connection the process opens over a pool of N shared TCP connections
 // instead of one per peer; -coalesce sets the frame-coalescing latency
 // budget on whichever side the flag is passed to (the scheduler flag
 // governs its reply batching to mux peers, the worker/drive flag the
-// dialer's).  Mux requires binary framing, so -mux-conns rejects
-// -transport json.
+// dialer's).  Mux and per-connection peers share one scheduler port.
 //
 // The scheduler prints its Stats line every -stats interval and, on
 // Unix, dumps aggregate, per-shard queue-depth, mux-session, and
@@ -65,20 +62,11 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", 15*time.Second, "worker: lease-renewal interval while executing; 0 disables")
 	maxReconnects := flag.Int("max-reconnects", 0, "worker: consecutive failed re-dials before giving up; 0 retries forever")
 	noMemo := flag.Bool("no-memo", false, "drive: disable genome-keyed fitness memoization")
-	transport := flag.String("transport", "binary", "worker/drive: connection framing, binary or json (scheduler auto-negotiates)")
 	queueDepth := flag.Int("queue-depth", 4096, "scheduler: pending-task capacity across all shards; full queue blocks submitters")
 	queueShards := flag.Int("queue-shards", 8, "scheduler: pending-queue shard count (rounded to a power of two)")
 	muxConns := flag.Int("mux-conns", 0, "worker/drive: multiplex over this many shared TCP connections; 0 keeps one connection per peer")
 	coalesce := flag.Duration("coalesce", 0, "frame-coalescing latency budget for mux sessions; 0 batches opportunistically only")
 	flag.Parse()
-
-	tr, err := cluster.ParseTransport(*transport)
-	if err != nil {
-		log.Fatalf("cluster: %v", err)
-	}
-	if *muxConns > 0 && tr != cluster.TransportBinary {
-		log.Fatal("cluster: -mux-conns requires -transport binary")
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -131,12 +119,13 @@ func main() {
 	case "worker":
 		ev := surrogate.NewEvaluator(surrogate.Config{Seed: *seed})
 		var w *cluster.Worker
+		var err error
 		if *muxConns > 0 {
 			dialer := &cluster.MuxDialer{Addr: *addr, Conns: *muxConns, Coalesce: *coalesce}
 			defer dialer.Close()
 			w, err = cluster.NewWorkerMux(dialer, *name, cluster.EvalHandler(ev))
 		} else {
-			w, err = cluster.NewWorkerTransport(*addr, *name, cluster.EvalHandler(ev), tr)
+			w, err = cluster.NewWorker(*addr, *name, cluster.EvalHandler(ev))
 		}
 		if err != nil {
 			log.Fatalf("worker: %v", err)
@@ -152,12 +141,13 @@ func main() {
 
 	case "drive":
 		var client *cluster.Client
+		var err error
 		if *muxConns > 0 {
 			dialer := &cluster.MuxDialer{Addr: *addr, Conns: *muxConns, Coalesce: *coalesce}
 			defer dialer.Close()
 			client, err = cluster.NewClientMux(dialer)
 		} else {
-			client, err = cluster.NewClientTransport(*addr, tr)
+			client, err = cluster.NewClient(*addr)
 		}
 		if err != nil {
 			log.Fatalf("client: %v", err)

@@ -9,17 +9,18 @@
 //
 //	serve [-addr 127.0.0.1:8080] [-checkpoint-dir DIR]
 //	      [-backend local|remote] [-workers 4] [-scheduler-addr HOST:PORT]
-//	      [-seed 2023] [-lease 10m] [-transport binary|json] [-no-memo]
+//	      [-seed 2023] [-lease 10m] [-no-memo]
 //	      [-mux-conns 0] [-coalesce 0] [-queue-depth 4096]
 //	      [-max-concurrent 4] [-max-active-per-tenant 2]
 //	      [-max-campaigns-per-tenant 16] [-max-inflight-per-tenant 64]
 //	      [-drain-timeout 30s]
 //
-// -mux-conns N multiplexes the fleet's logical connections over N
-// shared TCP connections (the local backend's whole fleet, or the
-// remote backend's client) with -coalesce as the frame-coalescing
-// latency budget; -queue-depth bounds the local scheduler's pending
-// queue, blocking submitters when it fills.
+// The fleet speaks the cluster's binary wire protocol.  -mux-conns N
+// multiplexes its logical connections over N shared TCP connections
+// (the local backend's whole fleet, or the remote backend's client)
+// with -coalesce as the frame-coalescing latency budget; -queue-depth
+// bounds the local scheduler's pending queue, blocking submitters when
+// it fills.
 //
 // The local backend starts an in-process scheduler plus -workers
 // surrogate workers (the single-machine analogue of the paper's Summit
@@ -60,7 +61,6 @@ func main() {
 	schedulerAddr := flag.String("scheduler-addr", "127.0.0.1:7077", "remote backend: scheduler address")
 	seed := flag.Int64("seed", 2023, "local backend: surrogate model seed")
 	lease := flag.Duration("lease", 10*time.Minute, "local backend: per-task lease; 0 disables")
-	transport := flag.String("transport", "binary", "cluster framing: binary (length-prefixed wire protocol) or json (compatibility)")
 	noMemo := flag.Bool("no-memo", false, "disable the shared genome-keyed memo cache")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for campaign checkpoints; empty disables persistence")
 	maxConcurrent := flag.Int("max-concurrent", 4, "campaigns running at once, all tenants combined")
@@ -73,14 +73,7 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 4096, "local backend: scheduler pending-task capacity; full queue blocks submitters")
 	flag.Parse()
 
-	tr, err := cluster.ParseTransport(*transport)
-	if err != nil {
-		log.Fatalf("serve: %v", err)
-	}
-	if *muxConns > 0 && tr != cluster.TransportBinary {
-		log.Fatal("serve: -mux-conns requires -transport binary")
-	}
-	if err := run(*addr, *backend, *workers, *schedulerAddr, *seed, *lease, tr, *noMemo,
+	if err := run(*addr, *backend, *workers, *schedulerAddr, *seed, *lease, *noMemo,
 		*checkpointDir, *maxConcurrent, *maxActive, *maxCampaigns, *maxInflight, *drainTimeout,
 		*muxConns, *coalesce, *queueDepth); err != nil {
 		log.Fatalf("serve: %v", err)
@@ -88,7 +81,7 @@ func main() {
 }
 
 func run(addr, backend string, workers int, schedulerAddr string, seed int64,
-	lease time.Duration, transport cluster.Transport, noMemo bool, checkpointDir string,
+	lease time.Duration, noMemo bool, checkpointDir string,
 	maxConcurrent, maxActive, maxCampaigns, maxInflight int, drainTimeout time.Duration,
 	muxConns int, coalesce time.Duration, queueDepth int) error {
 
@@ -106,7 +99,7 @@ func run(addr, backend string, workers int, schedulerAddr string, seed int64,
 
 	switch backend {
 	case "local":
-		opts := []cluster.LocalOption{cluster.WithTransport(transport), cluster.WithQueueDepth(queueDepth)}
+		opts := []cluster.LocalOption{cluster.WithQueueDepth(queueDepth)}
 		if muxConns > 0 {
 			opts = append(opts, cluster.WithMuxConns(muxConns), cluster.WithCoalesce(coalesce))
 		}
@@ -140,7 +133,7 @@ func run(addr, backend string, workers int, schedulerAddr string, seed int64,
 			client, err = cluster.NewClientMux(dialer)
 			cfg.SchedulerMux = dialer.Stats
 		} else {
-			client, err = cluster.NewClientTransport(schedulerAddr, transport)
+			client, err = cluster.NewClient(schedulerAddr)
 		}
 		if err != nil {
 			return fmt.Errorf("connecting scheduler %s: %w", schedulerAddr, err)

@@ -12,19 +12,19 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/hpo"
 )
 
 func main() {
-	opts := core.DefaultCampaign()
+	opts := experiments.PaperOptions()
 	// Reduced scale: 2 runs × 40 individuals × 5 rounds = 400 simulated
 	// trainings (the paper ran 5 × 100 × 7 = 3500 on Summit).
 	opts.Runs, opts.PopSize, opts.Generations = 2, 40, 4
 
 	fmt.Printf("tuning %d hyperparameters over %d simulated DeePMD trainings…\n",
-		len(core.PaperBounds()), opts.Runs*opts.PopSize*(opts.Generations+1))
-	c, err := core.RunCampaign(context.Background(), opts)
+		len(hpo.PaperRepresentation().Bounds), opts.Runs*opts.PopSize*(opts.Generations+1))
+	c, err := experiments.RunPaperCampaign(context.Background(), opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cluster/wire"
 )
 
 // BenchmarkTaskRoundTrip measures one submit→assign→result cycle through
@@ -58,27 +61,22 @@ func BenchmarkThroughputByWorkers(b *testing.B) {
 }
 
 func BenchmarkMessageFraming(b *testing.B) {
-	m := &message{Type: msgSubmit, TaskID: "0123456789abcdef", Payload: json.RawMessage(`{"genome":[0.1,0.2,0.3,0.4,0.5,0.6,0.7]}`)}
-	var buf discardBuffer
+	m := &message{Type: wire.TypeSubmit, TaskID: "0123456789abcdef", Payload: json.RawMessage(`{"genome":[0.1,0.2,0.3,0.4,0.5,0.6,0.7]}`)}
+	cd := newCodec(nil, io.Discard, &wireCounters{})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeMessage(&buf, m); err != nil {
+		if err := cd.write(m); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-type discardBuffer struct{}
-
-func (discardBuffer) Write(p []byte) (int, error) { return len(p), nil }
-
 // benchPayload is a campaign-realistic task body: a 512-gene genome,
 // the size class a wide hyperparameter search with per-layer knobs and
 // an inlined training config ships per evaluation (~6 KiB of JSON).
-// Framing cost scales with payload size — the JSON codec must scan
-// every byte of the embedded RawMessage to find its end, the binary
-// codec just copies a length-prefixed region — so the payload size
-// class is the main lever on the cross-transport ratio.
+// The codec copies it as one length-prefixed region, so framing cost
+// grows with its size.
 func benchPayload() json.RawMessage {
 	var sb bytes.Buffer
 	sb.WriteString(`{"genome":[`)
@@ -92,38 +90,36 @@ func benchPayload() json.RawMessage {
 	return sb.Bytes()
 }
 
-// BenchmarkCodecRoundTrip pins the per-frame cost of each codec in
+// BenchmarkCodecRoundTrip pins the per-frame cost of the codec in
 // isolation: one submit message encoded and decoded through an in-memory
 // stream, no scheduler and no sockets.
 func BenchmarkCodecRoundTrip(b *testing.B) {
-	m := &message{Type: msgSubmit, TaskID: "0123456789abcdef", Payload: benchPayload()}
-	for _, tr := range []Transport{TransportBinary, TransportJSON} {
-		b.Run("transport="+tr.String(), func(b *testing.B) {
-			var buf bytes.Buffer
-			var wc wireCounters
-			cd := newCodec(tr, &buf, &buf, &wc)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := cd.write(m); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := cd.read(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	m := &message{Type: wire.TypeSubmit, TaskID: "0123456789abcdef", Payload: benchPayload()}
+	var buf bytes.Buffer
+	cd := newCodec(&buf, &buf, &wireCounters{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := cd.write(m); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cd.read(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// benchScheduler measures sustained submit→assign→result throughput with
-// a pool of echo workers, over loopback TCP or through the chaos proxy's
-// extra hop, on either framing.  ns/op is the wall cost of one task at
-// saturation; bench.sh divides the JSON and binary numbers per
-// configuration into the sched_throughput_speedup_vs_json section of
-// BENCH_7.json.
-func benchScheduler(b *testing.B, workers int, tr Transport, viaProxy bool) {
+// benchFleet measures sustained submit→assign→result throughput with a
+// pool of echo workers.  The whole fleet — every worker plus the client
+// — either multiplexes over a small shared TCP pool (muxed, 2 physical
+// connections) or keeps one TCP connection per peer, optionally through
+// the chaos proxy's extra hop.  ns/op is the wall cost of one task at
+// saturation.  The coalescing budget stays 0 — on the single-core bench
+// box, batching purely opportunistically (frames staged while a flush
+// is in flight leave together) wins over paying the timer latency.
+func benchFleet(b *testing.B, workers int, muxed, viaProxy bool) {
+	const muxConns = 2
 	sched, err := NewScheduler("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -134,91 +130,9 @@ func benchScheduler(b *testing.B, workers int, tr Transport, viaProxy bool) {
 		addr = newChaosProxy(b, addr).Addr()
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	pool := make([]*Worker, 0, workers)
-	for i := 0; i < workers; i++ {
-		w, err := NewWorkerTransport(addr, fmt.Sprintf("w%d", i), echoHandler, tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer w.Close()
-		pool = append(pool, w)
-		go func() { _ = w.Run(ctx) }()
-	}
-	for sched.Stats().Workers < int64(workers) {
-		time.Sleep(time.Millisecond)
-	}
-	client, err := NewClientTransport(addr, tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-
-	payload := benchPayload()
-	inflight := 2 * workers
-	if inflight > 256 {
-		inflight = 256
-	}
-	sem := make(chan struct{}, inflight)
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if _, err := client.Submit(ctx, payload); err != nil {
-				b.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	b.StopTimer()
-	_ = pool
-}
-
-// BenchmarkSchedulerThroughput is the headline grid: task throughput by
-// worker-pool size and framing over plain loopback.
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	for _, workers := range []int{1, 10, 100, 500} {
-		for _, tr := range []Transport{TransportBinary, TransportJSON} {
-			b.Run(fmt.Sprintf("workers=%d/transport=%v", workers, tr), func(b *testing.B) {
-				benchScheduler(b, workers, tr, false)
-			})
-		}
-	}
-}
-
-// benchSchedulerScaleOut is the scale-out twin of benchScheduler: the
-// same sustained submit→assign→result load, but the whole fleet — every
-// worker plus the client — either multiplexes over a small shared TCP
-// pool (mode=mux, 2 physical connections) or keeps one TCP connection
-// per peer (mode=perconn, the BENCH_7 configuration).  The coalescing
-// budget stays 0 — on the single-core bench box, batching purely
-// opportunistically (frames staged while a flush is in flight leave
-// together) wins over paying the timer latency.  bench.sh divides each
-// point by the BENCH_7 binary baseline into
-// sched_throughput_speedup_vs_bench7 in BENCH_8.json.
-func benchSchedulerScaleOut(b *testing.B, workers int, muxed bool) {
-	const (
-		muxConns = 2
-		coalesce = 0
-	)
-	cfg := SchedulerConfig{}
-	if muxed {
-		cfg.Coalesce = coalesce
-	}
-	sched, err := NewSchedulerWithConfig("127.0.0.1:0", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sched.Close()
-
 	var dialer *MuxDialer
 	if muxed {
-		dialer = &MuxDialer{Addr: sched.Addr(), Conns: muxConns, Coalesce: coalesce}
+		dialer = &MuxDialer{Addr: addr, Conns: muxConns}
 		defer dialer.Close()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -228,7 +142,7 @@ func benchSchedulerScaleOut(b *testing.B, workers int, muxed bool) {
 		if muxed {
 			w, err = NewWorkerMux(dialer, fmt.Sprintf("w%d", i), echoHandler)
 		} else {
-			w, err = NewWorker(sched.Addr(), fmt.Sprintf("w%d", i), echoHandler)
+			w, err = NewWorker(addr, fmt.Sprintf("w%d", i), echoHandler)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -243,7 +157,7 @@ func benchSchedulerScaleOut(b *testing.B, workers int, muxed bool) {
 	if muxed {
 		client, err = NewClientMux(dialer)
 	} else {
-		client, err = NewClient(sched.Addr())
+		client, err = NewClient(addr)
 	}
 	if err != nil {
 		b.Fatal(err)
@@ -273,16 +187,27 @@ func benchSchedulerScaleOut(b *testing.B, workers int, muxed bool) {
 	b.StopTimer()
 }
 
-// BenchmarkSchedulerThroughputScaleOut is the fleet-size grid for the
-// mux PR: throughput by worker count, multiplexed over 4 shared TCP
-// connections vs one connection per peer.  The workers=1000 points
-// exist to demonstrate the fleet completes at a size the per-connection
-// path only barely sustains.
+// BenchmarkSchedulerThroughput is the headline grid: task throughput by
+// worker-pool size over plain loopback, one connection per peer.
+func BenchmarkSchedulerThroughput(b *testing.B) {
+	for _, workers := range []int{1, 10, 100, 500} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchFleet(b, workers, false, false)
+		})
+	}
+}
+
+// BenchmarkSchedulerThroughputScaleOut is the fleet-size grid:
+// throughput by worker count, multiplexed over 2 shared TCP connections
+// vs one connection per peer.  bench.sh divides each point by the
+// BENCH_7 baseline into sched_throughput_speedup_vs_bench7.  The
+// workers=1000 points exist to demonstrate the fleet completes at a
+// size the per-connection path only barely sustains.
 func BenchmarkSchedulerThroughputScaleOut(b *testing.B) {
 	for _, workers := range []int{1, 10, 100, 500, 1000} {
 		for _, mode := range []string{"mux", "perconn"} {
 			b.Run(fmt.Sprintf("workers=%d/mode=%s", workers, mode), func(b *testing.B) {
-				benchSchedulerScaleOut(b, workers, mode == "mux")
+				benchFleet(b, workers, mode == "mux", false)
 			})
 		}
 	}
@@ -293,10 +218,8 @@ func BenchmarkSchedulerThroughputScaleOut(b *testing.B) {
 // per direction — closer to a real network path than bare loopback.
 func BenchmarkSchedulerThroughputChaos(b *testing.B) {
 	for _, workers := range []int{10, 100} {
-		for _, tr := range []Transport{TransportBinary, TransportJSON} {
-			b.Run(fmt.Sprintf("workers=%d/transport=%v", workers, tr), func(b *testing.B) {
-				benchScheduler(b, workers, tr, true)
-			})
-		}
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchFleet(b, workers, false, true)
+		})
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -336,18 +337,19 @@ func TestDuplicateResultDoesNotInflateStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeMessage(conn, &message{Type: msgRegister, Name: "duplicator"}); err != nil {
+	cd := newCodec(conn, conn, &wireCounters{})
+	if err := cd.write(&message{Type: wire.TypeRegister, Name: "duplicator"}); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
 		for {
-			m, err := readMessage(conn)
+			m, err := cd.read()
 			if err != nil {
 				return
 			}
-			res := &message{Type: msgResult, TaskID: m.TaskID, Payload: m.Payload}
-			_ = writeMessage(conn, res)
-			_ = writeMessage(conn, res) // the duplicate
+			res := &message{Type: wire.TypeResult, TaskID: m.TaskID, Payload: m.Payload}
+			_ = cd.write(res)
+			_ = cd.write(res) // the duplicate
 		}
 	}()
 
@@ -447,13 +449,13 @@ func TestWorkerCancellationIsNotATimeout(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if res := w.execute(ctx, dialCodec(TransportBinary, a, &w.wire), &message{Type: msgAssign, TaskID: "x"}); res != nil {
+	if res := w.execute(ctx, newCodec(a, a, &w.wire), &message{Type: wire.TypeAssign, TaskID: "x"}); res != nil {
 		t.Errorf("cancelled task produced result %+v, want nil (propagated shutdown)", res)
 	}
 
 	// Case 2: per-task deadline with live parent → timeout failure result.
 	w2 := &Worker{Name: "t2", Handler: blocker, TaskTimeout: 20 * time.Millisecond}
-	res := w2.execute(context.Background(), dialCodec(TransportBinary, a, &w2.wire), &message{Type: msgAssign, TaskID: "y"})
+	res := w2.execute(context.Background(), newCodec(a, a, &w2.wire), &message{Type: wire.TypeAssign, TaskID: "y"})
 	if res == nil || !strings.Contains(res.Err, "timed out") {
 		t.Errorf("timed-out task result = %+v, want timeout error", res)
 	}
@@ -633,29 +635,31 @@ func TestChaosTruncatedResultFrame(t *testing.T) {
 	}
 }
 
-// TestChaosCorruptedFrameDropsConnNotCampaign corrupts a single result
-// frame in flight — flipped length prefix or bad magic, over both
-// framings — and verifies the blast radius is exactly one connection:
-// the scheduler counts a decode error and drops the worker connection,
-// the worker reconnects, the task is requeued and completes, and the
-// untouched client connection never notices.
+// TestChaosCorruptedFrameDropsConnNotCampaign feeds the scheduler one
+// bad frame — a result corrupted in flight (flipped length prefix or bad
+// magic), or the hello of a peer that does not speak the binary framing
+// — and verifies the blast radius is exactly one connection: the
+// scheduler counts a decode error and drops that connection, a
+// corrupted task is requeued and completes after the worker reconnects,
+// and the untouched client connection never notices.
 func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
+	// A register hello in length-prefixed JSON framing: its first byte is
+	// a length byte (≤ 0x04), never wire.MagicByte0.
+	jsonBody := []byte(`{"type":"register","name":"legacy"}`)
+	jsonHello := append(binary.BigEndian.AppendUint32(nil, uint32(len(jsonBody))), jsonBody...)
+
 	cases := []struct {
 		name    string
-		tr      Transport
-		corrupt func([]byte)
+		corrupt func([]byte) // applied to the worker's result frame; nil leaves it intact
+		hello   []byte       // first bytes of an extra raw peer; nil dials none
 	}{
-		{"binary_bad_magic", TransportBinary, func(b []byte) { b[0] = 0x00 }},
-		{"binary_length_flip", TransportBinary, func(b []byte) {
+		{"binary_bad_magic", func(b []byte) { b[0] = 0x00 }, nil},
+		{"binary_length_flip", func(b []byte) {
 			if len(b) >= wire.HeaderSize {
 				binary.BigEndian.PutUint32(b[6:10], 0xFFFFFFFF)
 			}
-		}},
-		{"json_length_flip", TransportJSON, func(b []byte) {
-			if len(b) >= 4 {
-				binary.BigEndian.PutUint32(b[0:4], 0xFFFFFFFF)
-			}
-		}},
+		}, nil},
+		{"json_hello", nil, jsonHello},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -671,7 +675,7 @@ func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 				calls.Add(1)
 				return payload, nil
 			}
-			w, err := NewWorkerTransport(proxy.Addr(), "victim", handler, tc.tr)
+			w, err := NewWorker(proxy.Addr(), "victim", handler)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -679,7 +683,7 @@ func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 			defer w.Close()
 			go func() { _ = w.Run(context.Background()) }()
 
-			client, err := NewClientTransport(sched.Addr(), tc.tr) // direct, unproxied
+			client, err := NewClient(sched.Addr()) // direct, unproxied
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -692,9 +696,27 @@ func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
-			// Corrupt the worker's next frame toward the scheduler — its
-			// result for the submission below.
-			proxy.MutateNext(tc.corrupt)
+			if tc.hello != nil {
+				// The scheduler must decode the hello, fail, and close
+				// only this connection.
+				raw, err := net.Dial("tcp", sched.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer raw.Close()
+				if _, err := raw.Write(tc.hello); err != nil {
+					t.Fatal(err)
+				}
+				_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if n, err := raw.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+					t.Fatalf("non-binary peer not dropped: read %d bytes, err %v", n, err)
+				}
+			}
+			if tc.corrupt != nil {
+				// Corrupt the worker's next frame toward the scheduler —
+				// its result for the submission below.
+				proxy.MutateNext(tc.corrupt)
+			}
 
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
@@ -708,17 +730,19 @@ func TestChaosCorruptedFrameDropsConnNotCampaign(t *testing.T) {
 			if ws := sched.Wire(); ws.DecodeErrors == 0 {
 				t.Errorf("corruption not counted as a decode error: %v", ws)
 			}
-			if calls.Load() < 2 {
+			if tc.corrupt != nil && calls.Load() < 2 {
 				t.Errorf("task executed %d times, want >= 2 (original + requeue after drop)", calls.Load())
 			}
 			st := sched.Stats()
+			if st.Workers != 1 {
+				t.Errorf("workers = %d, want only the victim", st.Workers)
+			}
 			if st.Completed+st.Failed != st.Submitted {
 				t.Errorf("books don't balance after corruption: %+v", st)
 			}
 			// Exactly one client connection was ever dialed: the corruption
 			// cost the worker's connection, nobody else's.
-			cw := client.Wire()
-			if conns := cw.BinaryConns + cw.JSONConns; conns != 1 {
+			if conns := client.Wire().Conns; conns != 1 {
 				t.Errorf("client dialed %d connections, want 1 (its connection must survive)", conns)
 			}
 		})
@@ -862,8 +886,8 @@ func paretoSize(pop ea.Population) int {
 // killed and restarted mid-flight.  Workers reconnect with backoff, the
 // client resubmits its in-flight generation, and the campaign finishes
 // with the exact frontier a local run produces — no spurious MAXINT
-// failures anywhere.  Both framings must deliver the bit-identical
-// frontier.
+// failures anywhere.  Per-connection and multiplexed peers must both
+// deliver the bit-identical frontier.
 func TestSchedulerBounceMidCampaign(t *testing.T) {
 	// Reference: the same campaign evaluated in-process.
 	ref, err := nsga2.Run(context.Background(), bounceCampaignConfig(ea.EvaluatorFunc(clusterEval)))
@@ -871,19 +895,34 @@ func TestSchedulerBounceMidCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, tr := range []Transport{TransportBinary, TransportJSON} {
-		t.Run(tr.String(), func(t *testing.T) {
+	for _, muxed := range []bool{false, true} {
+		name := "binary"
+		if muxed {
+			name = "mux"
+		}
+		t.Run(name, func(t *testing.T) {
 			sched, err := NewScheduler("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			addr := sched.Addr()
+			var d *MuxDialer
+			if muxed {
+				d = &MuxDialer{Addr: addr, Conns: 2}
+				defer d.Close()
+			}
 
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			var workers []*Worker
 			for i := 0; i < 4; i++ {
-				w, err := NewWorkerTransport(addr, fmt.Sprintf("w%d", i), EvalHandler(ea.EvaluatorFunc(clusterEval)), tr)
+				handler := EvalHandler(ea.EvaluatorFunc(clusterEval))
+				var w *Worker
+				if muxed {
+					w, err = NewWorkerMux(d, fmt.Sprintf("w%d", i), handler)
+				} else {
+					w, err = NewWorker(addr, fmt.Sprintf("w%d", i), handler)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -897,7 +936,12 @@ func TestSchedulerBounceMidCampaign(t *testing.T) {
 				}
 			}()
 
-			client, err := NewClientTransport(addr, tr)
+			var client *Client
+			if muxed {
+				client, err = NewClientMux(d)
+			} else {
+				client, err = NewClient(addr)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

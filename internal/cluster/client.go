@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster/wire"
 	"repro/internal/uuid"
 )
 
@@ -40,14 +41,12 @@ type Client struct {
 	// Logf, if non-nil, receives diagnostic output.
 	Logf func(format string, args ...interface{})
 
-	addr      string
-	transport Transport
-	dialer    Dialer
-	wire      wireCounters
+	dialer Dialer
+	wire   wireCounters
 
 	mu      sync.Mutex // guards conn/cd writes, waiters, readErr, closed
 	conn    net.Conn
-	cd      codec
+	cd      *codec
 	waiters map[string]*pendingCall
 	readErr error
 	closed  bool
@@ -59,41 +58,33 @@ type Client struct {
 	// (ReconnectInitial etc.) may be set freely between NewClient and use
 }
 
-// NewClient dials the scheduler over the default binary framing.
+// NewClient dials the scheduler over one TCP connection.
 func NewClient(addr string) (*Client, error) {
-	return NewClientTransport(addr, TransportBinary)
-}
-
-// NewClientTransport dials the scheduler, speaking the given framing for
-// the life of the client (reconnections included).
-func NewClientTransport(addr string, tr Transport) (*Client, error) {
-	return newClient(addr, tr, tcpDialer(addr))
+	return newClient(tcpDialer(addr))
 }
 
 // NewClientMux dials the scheduler through a shared MuxDialer: the
 // client's "connection" is one logical stream over the dialer's TCP
-// pool (binary framing, the only framing mux carries).  Reconnection
-// opens a fresh stream, lazily re-establishing a dead physical session.
+// pool.  Reconnection opens a fresh stream, lazily re-establishing a
+// dead physical session.
 func NewClientMux(d *MuxDialer) (*Client, error) {
-	return newClient(d.Addr, TransportBinary, d)
+	return newClient(d)
 }
 
-func newClient(addr string, tr Transport, dialer Dialer) (*Client, error) {
+func newClient(dialer Dialer) (*Client, error) {
 	conn, err := dialer.Dial()
 	if err != nil {
 		return nil, err
 	}
 	c := &Client{
 		MaxReconnects: 10,
-		addr:          addr,
-		transport:     tr,
 		dialer:        dialer,
 		conn:          conn,
 		waiters:       make(map[string]*pendingCall),
 		closeCh:       make(chan struct{}),
 		done:          make(chan struct{}),
 	}
-	c.cd = dialCodec(tr, conn, &c.wire)
+	c.cd, _ = newConnCodec(conn, &c.wire)
 	return c, nil
 }
 
@@ -190,14 +181,14 @@ func (c *Client) adopt(conn net.Conn) error {
 	}
 	old := c.conn
 	c.conn = conn
-	c.cd = dialCodec(c.transport, conn, &c.wire)
+	c.cd, _ = newConnCodec(conn, &c.wire)
 	if old != nil && old != conn {
 		//lint:ignore errdiscard best-effort: the stale conn was already replaced by the reconnect; its close error is unactionable
 		old.Close()
 	}
 	n := 0
 	for id, pc := range c.waiters {
-		if err := c.cd.write(&message{Type: msgSubmit, TaskID: id, Payload: pc.payload}); err != nil {
+		if err := c.cd.write(&message{Type: wire.TypeSubmit, TaskID: id, Payload: pc.payload}); err != nil {
 			return err
 		}
 		n++
@@ -251,7 +242,7 @@ func (c *Client) Submit(ctx context.Context, payload json.RawMessage) (json.RawM
 	// A write error is not reported here: the read loop will observe the
 	// same broken connection and resubmit this call after reconnecting.
 	//lint:ignore errdiscard the read loop observes the same broken conn and resubmits; handling here would double-report
-	_ = c.cd.write(&message{Type: msgSubmit, TaskID: id, Payload: payload})
+	_ = c.cd.write(&message{Type: wire.TypeSubmit, TaskID: id, Payload: payload})
 	c.mu.Unlock()
 
 	select {

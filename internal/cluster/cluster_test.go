@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cluster/wire"
 	"repro/internal/ea"
 )
 
@@ -21,23 +24,32 @@ func echoHandler(_ context.Context, payload json.RawMessage) (json.RawMessage, e
 
 func TestMessageFraming(t *testing.T) {
 	var buf bytes.Buffer
-	in := &message{Type: msgSubmit, TaskID: "t1", Payload: json.RawMessage(`{"x":1}`)}
-	if err := writeMessage(&buf, in); err != nil {
-		t.Fatalf("writeMessage: %v", err)
+	var wc wireCounters
+	cd := newCodec(&buf, &buf, &wc)
+	in := &message{Type: wire.TypeSubmit, TaskID: "t1", Payload: json.RawMessage(`{"x":1}`)}
+	if err := cd.write(in); err != nil {
+		t.Fatalf("write: %v", err)
 	}
-	out, err := readMessage(&buf)
+	out, err := cd.read()
 	if err != nil {
-		t.Fatalf("readMessage: %v", err)
+		t.Fatalf("read: %v", err)
 	}
 	if out.Type != in.Type || out.TaskID != in.TaskID || string(out.Payload) != string(in.Payload) {
 		t.Errorf("round trip mismatch: %+v", out)
 	}
+	if ws := wc.snapshot(); ws.FramesIn != 1 || ws.FramesOut != 1 || ws.BytesOut == 0 || ws.DecodeErrors != 0 {
+		t.Errorf("counters after one round trip: %v", ws)
+	}
 }
 
 func TestMessageFramingRejectsHugeFrame(t *testing.T) {
-	buf := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0, 0})
-	if _, err := readMessage(buf); err == nil {
+	hdr := []byte{wire.MagicByte0, byte(wire.Magic & 0xff), wire.Version, byte(wire.TypeSubmit), 0, 0, 0xff, 0xff, 0xff, 0xff}
+	var wc wireCounters
+	if _, err := newCodec(bytes.NewReader(hdr), io.Discard, &wc).read(); err == nil {
 		t.Error("oversized frame accepted")
+	}
+	if wc.decodeErrors.Load() != 1 {
+		t.Errorf("decode errors = %d, want 1", wc.decodeErrors.Load())
 	}
 }
 
@@ -165,6 +177,7 @@ func TestWorkerDeathReassignsTask(t *testing.T) {
 	// Worker 0 dies on its first task; worker 1 completes everything.
 	var mu sync.Mutex
 	died := false
+	dying := make(chan struct{})
 
 	sched, err := NewScheduler("127.0.0.1:0")
 	if err != nil {
@@ -179,6 +192,7 @@ func TestWorkerDeathReassignsTask(t *testing.T) {
 		died = true
 		mu.Unlock()
 		if first {
+			close(dying)
 			killable.Close() // simulate node failure mid-task
 			time.Sleep(50 * time.Millisecond)
 		}
@@ -190,6 +204,32 @@ func TestWorkerDeathReassignsTask(t *testing.T) {
 	}
 	go func() { _ = killable.Run(context.Background()) }()
 
+	client, err := NewClient(sched.Addr())
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	defer client.Close()
+
+	// The doomed worker is alone when the first task arrives, so it is
+	// the one to take it; the healthy worker joins once it is dying.
+	submit := func(i int) error {
+		payload := json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))
+		out, err := client.Submit(context.Background(), payload)
+		if err != nil {
+			return fmt.Errorf("Submit %d after worker death: %w", i, err)
+		}
+		if string(out) != string(payload) {
+			return fmt.Errorf("result %d = %s", i, out)
+		}
+		return nil
+	}
+	firstDone := make(chan error, 1)
+	go func() { firstDone <- submit(0) }()
+	select {
+	case <-dying:
+	case <-time.After(5 * time.Second):
+		t.Fatal("doomed worker never received the first task")
+	}
 	healthy, err := NewWorker(sched.Addr(), "healthy", echoHandler)
 	if err != nil {
 		t.Fatalf("NewWorker: %v", err)
@@ -197,20 +237,12 @@ func TestWorkerDeathReassignsTask(t *testing.T) {
 	defer healthy.Close()
 	go func() { _ = healthy.Run(context.Background()) }()
 
-	client, err := NewClient(sched.Addr())
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
+	if err := <-firstDone; err != nil {
+		t.Fatal(err)
 	}
-	defer client.Close()
-
-	for i := 0; i < 5; i++ {
-		payload := json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))
-		out, err := client.Submit(context.Background(), payload)
-		if err != nil {
-			t.Fatalf("Submit %d after worker death: %v", i, err)
-		}
-		if string(out) != string(payload) {
-			t.Errorf("result %d = %s", i, out)
+	for i := 1; i < 5; i++ {
+		if err := submit(i); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if st := sched.Stats(); st.Reassigned == 0 {
@@ -351,13 +383,14 @@ func TestSchedulerTaskTimeoutReassignsFromHungWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hungConn.Close()
-	if err := writeMessage(hungConn, &message{Type: msgRegister, Name: "hung"}); err != nil {
+	hung := newCodec(hungConn, hungConn, &wireCounters{})
+	if err := hung.write(&message{Type: wire.TypeRegister, Name: "hung"}); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
 		// Read assignments forever, never reply.
 		for {
-			if _, err := readMessage(hungConn); err != nil {
+			if _, err := hung.read(); err != nil {
 				return
 			}
 		}
@@ -475,4 +508,77 @@ func TestMultipleClientsShareWorkers(t *testing.T) {
 	if st := lc.Scheduler.Stats(); st.Completed != 20 {
 		t.Errorf("completed %d, want 20", st.Completed)
 	}
+}
+
+// TestBooksBalanceAtDelivery checks the books at the moment each result
+// reaches a client, not after the fact: by then the scheduler must
+// already have counted it, so Completed+Failed covers every delivered
+// result and never exceeds Submitted.  The first half hands results over
+// on an unbuffered reply channel, so the check runs at the exact instant
+// of delivery, on both the worker-result and the abandon path; the
+// second half checks the same invariant through real clients.  Each
+// hand-over waits briefly before receiving, so the deliverer is already
+// parked on the send: the receiver then runs on before the deliverer
+// resumes, which is the window a count placed after the send would lose.
+func TestBooksBalanceAtDelivery(t *testing.T) {
+	s, err := NewScheduler("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w := &workerProxy{s: s, name: "w", inflight: make(map[string]*lease)}
+	check := func(delivered int64) {
+		t.Helper()
+		st := s.Stats()
+		if st.Completed+st.Failed != delivered || st.Submitted != delivered {
+			t.Fatalf("result %d reached the client with unbalanced books: %+v", delivered, st)
+		}
+	}
+	var delivered int64
+	for i := 0; i < 50; i++ {
+		tk := &task{id: fmt.Sprintf("t%d", i), reply: make(chan *message)}
+		atomic.AddInt64(&s.stats.Submitted, 1)
+		res := &message{Type: wire.TypeResult, TaskID: tk.id}
+		if i%3 == 0 {
+			res.Err = "diverged"
+		}
+		go w.deliver(&lease{t: tk, started: time.Now()}, res)
+		time.Sleep(100 * time.Microsecond)
+		<-tk.reply
+		delivered++
+		check(delivered)
+	}
+	s.MaxAttempts = 1
+	tk := &task{id: "abandoned", reply: make(chan *message)}
+	atomic.AddInt64(&s.stats.Submitted, 1)
+	go s.requeue(tk, "w", "worker connection lost")
+	time.Sleep(100 * time.Microsecond)
+	if m := <-tk.reply; m.Err == "" {
+		t.Fatal("abandoned task delivered without an error")
+	}
+	delivered++
+	check(delivered)
+
+	lc, err := NewLocalCluster(3, echoHandler, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	var received atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 60; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := lc.Client.Submit(context.Background(), json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
+				t.Error(err)
+				return
+			}
+			n := received.Add(1)
+			if st := lc.Scheduler.Stats(); st.Completed+st.Failed < n || st.Completed+st.Failed > st.Submitted {
+				t.Errorf("%d results delivered, books %+v", n, st)
+			}
+		}(i)
+	}
+	wg.Wait()
 }

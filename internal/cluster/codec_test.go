@@ -9,83 +9,6 @@ import (
 	"time"
 )
 
-// TestParseTransport pins the flag-value surface.
-func TestParseTransport(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Transport
-	}{{"binary", TransportBinary}, {"json", TransportJSON}} {
-		got, err := ParseTransport(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseTransport(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-		if got.String() != tc.in {
-			t.Errorf("%v.String() = %q, want %q", got, got.String(), tc.in)
-		}
-	}
-	if _, err := ParseTransport("msgpack"); err == nil {
-		t.Error("ParseTransport accepted an unknown transport")
-	}
-}
-
-// TestTransportNegotiationMixedFleet runs binary and JSON workers and
-// clients against one scheduler at the same time.  The scheduler peeks
-// the first byte of each connection and speaks whichever framing the
-// peer chose, so a mixed fleet interoperates without configuration.
-func TestTransportNegotiationMixedFleet(t *testing.T) {
-	sched, err := NewScheduler("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sched.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i, tr := range []Transport{TransportBinary, TransportJSON} {
-		w, err := NewWorkerTransport(sched.Addr(), fmt.Sprintf("worker-%v", tr), echoHandler, tr)
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-		defer w.Close()
-		go func() { _ = w.Run(ctx) }()
-	}
-
-	for _, tr := range []Transport{TransportBinary, TransportJSON} {
-		client, err := NewClientTransport(sched.Addr(), tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 4; i++ {
-			payload := json.RawMessage(fmt.Sprintf(`{"via":"%v","i":%d}`, tr, i))
-			out, err := client.Submit(ctx, payload)
-			if err != nil {
-				t.Fatalf("submit via %v: %v", tr, err)
-			}
-			if string(out) != string(payload) {
-				t.Errorf("result via %v = %s, want %s", tr, out, payload)
-			}
-		}
-		cw := client.Wire()
-		if cw.FramesOut < 4 || cw.FramesIn < 4 {
-			t.Errorf("client %v frame counters did not move: %v", tr, cw)
-		}
-		client.Close()
-	}
-
-	ws := sched.Wire()
-	// One binary worker + one binary client, one JSON worker + one JSON
-	// client.
-	if ws.BinaryConns != 2 || ws.JSONConns != 2 {
-		t.Errorf("negotiated conns = %d binary, %d json; want 2 and 2 (%v)", ws.BinaryConns, ws.JSONConns, ws)
-	}
-	if ws.DecodeErrors != 0 {
-		t.Errorf("spurious decode errors on healthy links: %v", ws)
-	}
-	if ws.FramesIn == 0 || ws.FramesOut == 0 || ws.BytesIn == 0 || ws.BytesOut == 0 {
-		t.Errorf("scheduler wire counters did not move: %v", ws)
-	}
-}
-
 // TestSnapshotCatchUpMidCampaign is the late-joiner acceptance test: a
 // worker registering mid-campaign receives one compact snapshot frame —
 // campaign epoch, queue depth, outstanding leases — instead of any

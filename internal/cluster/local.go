@@ -28,21 +28,14 @@ type LocalCluster struct {
 type LocalOption func(*localConfig)
 
 type localConfig struct {
-	transport  Transport
 	muxConns   int
 	coalesce   time.Duration
 	queueDepth int
 }
 
-// WithTransport selects the framing the local workers and client speak
-// to the scheduler (default TransportBinary).
-func WithTransport(tr Transport) LocalOption {
-	return func(cfg *localConfig) { cfg.transport = tr }
-}
-
 // WithMuxConns multiplexes every local worker and the client over n
-// shared TCP connections (binary framing) instead of one connection
-// each.  n < 1 is treated as 1.
+// shared TCP connections instead of one connection each.  n < 1 is
+// treated as 1.
 func WithMuxConns(n int) LocalOption {
 	return func(cfg *localConfig) { cfg.muxConns = max(n, 1) }
 }
@@ -86,7 +79,7 @@ func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration, o
 		if lc.Dialer != nil {
 			w, err = NewWorkerMux(lc.Dialer, fmt.Sprintf("worker-%d", i), handler)
 		} else {
-			w, err = NewWorkerTransport(sched.Addr(), fmt.Sprintf("worker-%d", i), handler, cfg.transport)
+			w, err = NewWorker(sched.Addr(), fmt.Sprintf("worker-%d", i), handler)
 		}
 		if err != nil {
 			return nil, errors.Join(err, lc.Close())
@@ -101,7 +94,7 @@ func NewLocalCluster(nWorkers int, handler Handler, taskTimeout time.Duration, o
 	if lc.Dialer != nil {
 		client, err = NewClientMux(lc.Dialer)
 	} else {
-		client, err = NewClientTransport(sched.Addr(), cfg.transport)
+		client, err = NewClient(sched.Addr())
 	}
 	if err != nil {
 		return nil, errors.Join(err, lc.Close())

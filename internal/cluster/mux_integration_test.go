@@ -63,9 +63,10 @@ func TestMuxFleetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMixedFleetOnePort runs mux, plain-binary and JSON workers against
-// one scheduler port at the same time: negotiation keys on the first
-// bytes of each connection, so all three coexist and every task lands.
+// TestMixedFleetOnePort runs mux and per-connection workers against one
+// scheduler port at the same time: the first frame of each connection
+// says whether it is a mux session, so both coexist and every task
+// lands.
 func TestMixedFleetOnePort(t *testing.T) {
 	sched, err := NewScheduler("127.0.0.1:0")
 	if err != nil {
@@ -73,7 +74,7 @@ func TestMixedFleetOnePort(t *testing.T) {
 	}
 	defer sched.Close()
 
-	var muxed, binary, jsonn atomic.Int64
+	var muxed, plain atomic.Int64
 	tag := func(ctr *atomic.Int64) Handler {
 		return func(_ context.Context, p json.RawMessage) (json.RawMessage, error) {
 			ctr.Add(1)
@@ -94,18 +95,12 @@ func TestMixedFleetOnePort(t *testing.T) {
 		defer w.Close()
 		go func() { _ = w.Run(ctx) }()
 	}
-	wb, err := NewWorkerTransport(sched.Addr(), "plain-binary", tag(&binary), TransportBinary)
+	wp, err := NewWorker(sched.Addr(), "plain", tag(&plain))
 	if err != nil {
-		t.Fatalf("binary worker: %v", err)
+		t.Fatalf("plain worker: %v", err)
 	}
-	defer wb.Close()
-	go func() { _ = wb.Run(ctx) }()
-	wj, err := NewWorkerTransport(sched.Addr(), "plain-json", tag(&jsonn), TransportJSON)
-	if err != nil {
-		t.Fatalf("json worker: %v", err)
-	}
-	defer wj.Close()
-	go func() { _ = wj.Run(ctx) }()
+	defer wp.Close()
+	go func() { _ = wp.Run(ctx) }()
 
 	client, err := NewClient(sched.Addr())
 	if err != nil {
@@ -124,13 +119,12 @@ func TestMixedFleetOnePort(t *testing.T) {
 	}
 	requireBalancedBooks(t, sched)
 
-	if muxed.Load() == 0 || binary.Load() == 0 || jsonn.Load() == 0 {
-		t.Fatalf("not every framing served tasks: mux=%d binary=%d json=%d",
-			muxed.Load(), binary.Load(), jsonn.Load())
+	if muxed.Load() == 0 || plain.Load() == 0 {
+		t.Fatalf("not every kind of worker served tasks: mux=%d plain=%d", muxed.Load(), plain.Load())
 	}
-	ws := sched.Wire()
-	if ws.JSONConns == 0 || ws.BinaryConns == 0 {
-		t.Fatalf("negotiation counters did not see both framings: %+v", ws)
+	// One mux session, the plain worker's connection and the client's.
+	if ws := sched.Wire(); ws.Conns != 3 || ws.DecodeErrors != 0 {
+		t.Fatalf("wire counters: %+v, want 3 conns and no decode errors", ws)
 	}
 	if sm := sched.Mux(); sm.Sessions != 1 || sm.Streams != 2 {
 		t.Fatalf("mux counters: %+v, want 1 session / 2 streams", sm)
@@ -209,9 +203,9 @@ func TestChaosCutOneMuxConnBlastRadius(t *testing.T) {
 	requireBalancedBooks(t, sched)
 
 	// Blast radius: exactly the cut connection's workers re-dialed.
-	// Each logical dial counts one binary conn in the worker's counters.
+	// Each logical dial counts one conn in the worker's counters.
 	for i, w := range workers {
-		dials := w.Wire().BinaryConns
+		dials := w.Wire().Conns
 		onCut := i%2 == 0
 		if onCut && dials < 2 {
 			t.Errorf("worker %d rode the cut connection but never re-dialed (dials=%d)", i, dials)

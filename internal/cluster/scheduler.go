@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"sort"
 	"sync"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cluster/mux"
+	"repro/internal/cluster/wire"
 )
 
 // task is one unit of work tracked by the scheduler.
@@ -25,18 +25,19 @@ type task struct {
 	done     bool
 }
 
-// complete delivers a result exactly once; late duplicates (e.g. from a
-// worker that answered after its lease was given away) are dropped.  It
-// reports whether THIS call delivered the result, so callers can count
-// Completed/Failed only for the delivery that actually happened.
-func (t *task) complete(m *message) bool {
+// claim marks the task finished exactly once; late duplicates (e.g. from
+// a worker that answered after its lease was given away) lose the claim.
+// The winner counts Completed or Failed and only then sends the result on
+// t.reply (buffered, so the send never blocks), which keeps
+// Completed+Failed ≤ Submitted true the moment a client can see the
+// result.
+func (t *task) claim() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.done {
 		return false
 	}
 	t.done = true
-	t.reply <- m
 	return true
 }
 
@@ -171,12 +172,17 @@ func NewSchedulerWithConfig(addr string, cfg SchedulerConfig) (*Scheduler, error
 // Addr returns the listen address for clients and workers.
 func (s *Scheduler) Addr() string { return s.ln.Addr().String() }
 
-// Stats returns a snapshot of activity counters.
+// Stats returns a snapshot of activity counters.  Completed and Failed
+// are loaded before Submitted: a task is counted as submitted before it
+// can finish, so this order keeps Completed+Failed ≤ Submitted in every
+// snapshot.
 func (s *Scheduler) Stats() Stats {
+	completed := atomic.LoadInt64(&s.stats.Completed)
+	failed := atomic.LoadInt64(&s.stats.Failed)
 	return Stats{
 		Submitted:  atomic.LoadInt64(&s.stats.Submitted),
-		Completed:  atomic.LoadInt64(&s.stats.Completed),
-		Failed:     atomic.LoadInt64(&s.stats.Failed),
+		Completed:  completed,
+		Failed:     failed,
 		Reassigned: atomic.LoadInt64(&s.stats.Reassigned),
 		Expired:    atomic.LoadInt64(&s.stats.Expired),
 		Stale:      atomic.LoadInt64(&s.stats.Stale),
@@ -265,17 +271,24 @@ func (s *Scheduler) acceptLoop() {
 	}
 }
 
-// handleConn peeks the first byte to negotiate the framing (binary
-// frames start with wire.MagicByte0; JSON length prefixes cannot), reads
-// the first message to learn whether the peer is a worker or a client,
-// then runs the corresponding proxy loop.  A frame that fails to decode
-// — here or in either proxy — costs only this connection: the codec
-// counts the error, the handler returns, and the campaign carries on
-// over the surviving connections.
+// handleConn reads the first message to learn whether the peer is a
+// worker, a client or a mux session, then runs the corresponding loop.
+// A frame that fails to decode — here or in either proxy, including a
+// first frame that does not open with wire.MagicByte0 — costs only this
+// connection: the codec counts the error, the handler returns, and the
+// campaign carries on over the surviving connections.
 func (s *Scheduler) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 	s.connsMu.Lock()
+	select {
+	case <-s.closed:
+		// Accepted just as Close swept s.conns: nothing would ever close
+		// this connection, and a mux session would outlive Close.
+		s.connsMu.Unlock()
+		return
+	default:
+	}
 	s.conns[conn] = struct{}{}
 	s.connsMu.Unlock()
 	defer func() {
@@ -283,17 +296,14 @@ func (s *Scheduler) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.connsMu.Unlock()
 	}()
-	cd, br, err := negotiate(conn, &s.wire)
-	if err != nil {
-		return
-	}
+	cd, br := newConnCodec(conn, &s.wire)
 	first, err := cd.read()
 	if err != nil {
 		return
 	}
 	switch first.Type {
-	case msgRegister:
-		if first.Flags&flagMux != 0 && cd.transport() == TransportBinary {
+	case wire.TypeRegister:
+		if first.Flags&wire.FlagMux != 0 {
 			// A mux hello: from here on the connection carries only mux
 			// frames.  The session takes over br (which the frame-exact
 			// decoder left positioned right after the hello) and each
@@ -302,7 +312,7 @@ func (s *Scheduler) handleConn(conn net.Conn) {
 			return
 		}
 		s.runWorkerProxy(conn, cd, first)
-	case msgSubmit:
+	case wire.TypeSubmit:
 		s.runClientProxy(cd, first)
 	default:
 		s.logf("cluster: unexpected first message %q", first.Type)
@@ -332,20 +342,20 @@ func (s *Scheduler) runMuxSession(conn net.Conn, br *bufio.Reader, hello *messag
 
 // handleStream serves one logical connection inside a mux session.  The
 // codec sits directly on the stream — the session already counts
-// physical bytes in (via the negotiate reader) and the codec counts
-// logical frames both ways, so nothing is double-counted.
+// physical bytes in (via the connection's counting reader) and the codec
+// counts logical frames both ways, so nothing is double-counted.
 func (s *Scheduler) handleStream(st *mux.Stream) {
 	defer s.wg.Done()
 	defer st.Close()
-	cd := newCodec(TransportBinary, st, st, &s.wire)
+	cd := newCodec(st, st, &s.wire)
 	first, err := cd.read()
 	if err != nil {
 		return
 	}
 	switch first.Type {
-	case msgRegister:
+	case wire.TypeRegister:
 		s.runWorkerProxy(st, cd, first)
-	case msgSubmit:
+	case wire.TypeSubmit:
 		s.runClientProxy(cd, first)
 	default:
 		s.logf("cluster: unexpected first message %q on mux stream %d", first.Type, st.ID())
@@ -383,7 +393,7 @@ func (s *Scheduler) snapshot() *snapshotData {
 type workerProxy struct {
 	s    *Scheduler
 	conn net.Conn
-	cd   codec
+	cd   *codec
 	name string
 
 	mu       sync.Mutex
@@ -409,7 +419,7 @@ func (w *workerProxy) snapshot() WorkerStats {
 // failure, with nannies disabled (§2.2.5).  A worker that is merely slow
 // loses the lease but keeps the connection, so one slow task cannot
 // permanently remove a healthy node from the pool.
-func (s *Scheduler) runWorkerProxy(conn net.Conn, cd codec, first *message) {
+func (s *Scheduler) runWorkerProxy(conn net.Conn, cd *codec, first *message) {
 	name := first.Name
 	w := &workerProxy{
 		s:        s,
@@ -436,11 +446,11 @@ func (s *Scheduler) runWorkerProxy(conn net.Conn, cd codec, first *message) {
 	s.logf("cluster: worker %q connected", name)
 	s.event(EventWorkerConnect, name, "", "")
 
-	// A worker that set flagWantSnapshot (our Worker always does) gets the
+	// A worker that set wire.FlagWantSnapshot (our Worker always does) gets the
 	// compact catch-up state before its first assignment.  Raw registrants
 	// without the flag see the exact pre-snapshot protocol.
-	if first.Flags&flagWantSnapshot != 0 {
-		if err := cd.write(&message{Type: msgSnapshot, Snap: s.snapshot()}); err != nil {
+	if first.Flags&wire.FlagWantSnapshot != 0 {
+		if err := cd.write(&message{Type: wire.TypeSnapshot, Snap: s.snapshot()}); err != nil {
 			return
 		}
 	}
@@ -478,12 +488,14 @@ func (w *workerProxy) dispatch(t *task) bool {
 	w.inflight[t.id] = l
 	w.mu.Unlock()
 
-	if err := w.cd.write(&message{Type: msgAssign, TaskID: t.id, Payload: t.payload}); err != nil {
+	// The event precedes the frame, so it is recorded before the result
+	// can reach anyone.
+	s.event(EventAssign, w.name, t.id, "")
+	if err := w.cd.write(&message{Type: wire.TypeAssign, TaskID: t.id, Payload: t.payload}); err != nil {
 		w.take(t.id)
 		s.requeue(t, w.name, fmt.Sprintf("assign write failed: %v", err))
 		return false
 	}
-	s.event(EventAssign, w.name, t.id, "")
 
 	for {
 		var expiry <-chan time.Time
@@ -571,7 +583,7 @@ func (w *workerProxy) readLoop() {
 		w.ws.LastSeen = time.Now()
 		w.mu.Unlock()
 		switch m.Type {
-		case msgHeartbeat:
+		case wire.TypeHeartbeat:
 			if s.TaskTimeout > 0 {
 				w.mu.Lock()
 				if l, ok := w.inflight[m.TaskID]; ok {
@@ -579,7 +591,7 @@ func (w *workerProxy) readLoop() {
 				}
 				w.mu.Unlock()
 			}
-		case msgResult:
+		case wire.TypeResult:
 			l, held := w.take(m.TaskID)
 			if !held {
 				atomic.AddInt64(&s.stats.Stale, 1)
@@ -599,10 +611,12 @@ func (w *workerProxy) readLoop() {
 
 // deliver hands a result to the task, counting Completed/Failed only if
 // this worker's result was the one actually delivered — a duplicate from
-// a previously-expired lease must not inflate the books.
+// a previously-expired lease must not inflate the books.  The count and
+// the event land before the reply, so a client never sees a result the
+// books or the event hook do not yet hold.
 func (w *workerProxy) deliver(l *lease, m *message) {
 	s := w.s
-	if !l.t.complete(m) {
+	if !l.t.claim() {
 		atomic.AddInt64(&s.stats.Stale, 1)
 		w.mu.Lock()
 		w.ws.Stale++
@@ -625,6 +639,7 @@ func (w *workerProxy) deliver(l *lease, m *message) {
 		atomic.AddInt64(&s.stats.Completed, 1)
 	}
 	s.event(EventResult, w.name, m.TaskID, fmt.Sprintf("after %v err=%q", elapsed.Round(time.Millisecond), m.Err))
+	l.t.reply <- m
 }
 
 // requeue puts a task back on the queue after a worker failure or lease
@@ -635,9 +650,10 @@ func (s *Scheduler) requeue(t *task, worker, why string) {
 	}
 	t.attempts++
 	if t.attempts >= s.MaxAttempts {
-		if t.complete(&message{Type: msgResult, TaskID: t.id, Err: "cluster: task abandoned after repeated worker failures"}) {
+		if t.claim() {
 			atomic.AddInt64(&s.stats.Failed, 1)
 			s.event(EventTaskAbandoned, worker, t.id, fmt.Sprintf("after %d attempts (%s)", t.attempts, why))
+			t.reply <- &message{Type: wire.TypeResult, TaskID: t.id, Err: "cluster: task abandoned after repeated worker failures"}
 		}
 		return
 	}
@@ -652,7 +668,7 @@ func (s *Scheduler) requeue(t *task, worker, why string) {
 // runClientProxy accepts submissions from one client connection and
 // returns results as they complete.  Results may arrive out of submission
 // order; the TaskID correlates them.
-func (s *Scheduler) runClientProxy(cd codec, first *message) {
+func (s *Scheduler) runClientProxy(cd *codec, first *message) {
 	results := make(chan *message, 1024)
 	clientDone := make(chan struct{})
 	var writerWG sync.WaitGroup
@@ -704,7 +720,7 @@ func (s *Scheduler) runClientProxy(cd codec, first *message) {
 		if err != nil {
 			return
 		}
-		if m.Type != msgSubmit {
+		if m.Type != wire.TypeSubmit {
 			s.logf("cluster: client protocol violation: %q", m.Type)
 			return
 		}
@@ -713,9 +729,6 @@ func (s *Scheduler) runClientProxy(cd codec, first *message) {
 		}
 	}
 }
-
-// ensure log is referenced for default diagnostics wiring.
-var _ = log.Printf
 
 // String describes the scheduler state for diagnostics.
 func (s *Scheduler) String() string {

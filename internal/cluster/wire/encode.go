@@ -8,10 +8,9 @@ import (
 
 // Encoder frames messages onto one writer.  The frame is staged in a
 // reusable buffer and written with a single Write call, so steady-state
-// encoding allocates nothing and costs one syscall per message (the JSON
-// transport pays two: header, then body).  Encoder is not safe for
-// concurrent use; callers serialize writes per connection exactly as
-// they must for the underlying net.Conn.
+// encoding allocates nothing and costs one syscall per message.  Encoder
+// is not safe for concurrent use; callers serialize writes per
+// connection exactly as they must for the underlying net.Conn.
 type Encoder struct {
 	w   io.Writer
 	buf []byte
@@ -25,6 +24,7 @@ func NewEncoder(w io.Writer) *Encoder {
 // Encode validates, frames and writes one message.  It reports the
 // number of bytes written so transports can keep byte counters without
 // wrapping the writer.
+//
 //lint:hot
 func (e *Encoder) Encode(m *Message) (int, error) {
 	frame, err := AppendFrame(e.buf[:0], m)

@@ -1,11 +1,12 @@
-// Package wire is the binary framing for the cluster plane: a hand-rolled
-// length-prefixed codec that replaces the JSON transport on the hot path
-// (submit → assign → result → heartbeat) with fixed-width headers and
-// varint-delimited fields.  The paper's deployment moved hundreds of
-// fitness tasks per generation between the Dask client, scheduler and
-// workers (§2.2.5); at that rate the envelope cost — reflection-driven
-// JSON marshal/unmarshal plus an allocation per message — dominates the
-// scheduler's CPU, so the codec here is built around two properties:
+// Package wire is the framing for the cluster plane: a hand-rolled
+// length-prefixed binary codec for every message (submit → assign →
+// result → heartbeat, and the mux session frames) with fixed-width
+// headers and varint-delimited fields.  The paper's deployment moved
+// hundreds of fitness tasks per generation between the Dask client,
+// scheduler and workers (§2.2.5); at that rate a reflection-driven
+// envelope (marshal/unmarshal plus an allocation per message) would
+// dominate the scheduler's CPU, so the codec here is built around two
+// properties:
 //
 //   - Zero-copy decode: Decode parses a frame into a Message whose byte
 //     fields alias the Decoder's internal buffer.  Nothing is copied and
@@ -18,8 +19,7 @@
 // Frame layout (all multi-byte integers big-endian):
 //
 //	offset size field
-//	0      2    magic     0xD5A7 — never a legal JSON length prefix,
-//	                      so one peeked byte selects the transport
+//	0      2    magic     0xD5A7
 //	2      1    version   format version (currently 1)
 //	3      1    type      message type (Register … Snapshot)
 //	4      1    flags     per-type bits (e.g. FlagWantSnapshot)
@@ -41,12 +41,8 @@
 //	MuxClose:  (empty)
 //	MuxWindow: window (bytes of send credit granted)
 //
-// The JSON transport frames messages as a 4-byte big-endian length
-// followed by a JSON object; its first byte is always ≤ 0x04 (lengths
-// are capped at 64 MiB), while a binary frame always begins 0xD5.  The
-// scheduler peeks that one byte per accepted connection and speaks
-// whichever protocol the peer chose — binary is the default, JSON the
-// compatibility fallback.
+// A stream that does not open with the magic — a peer speaking some
+// other framing — fails its first Decode with ErrBadMagic.
 package wire
 
 import (
@@ -54,25 +50,22 @@ import (
 	"fmt"
 )
 
-// Magic identifies a binary frame.  The first byte (0xD5) can never
-// begin a JSON-transport frame, whose leading length byte is ≤ 0x04.
+// Magic identifies a frame.
 const Magic uint16 = 0xD5A7
 
-// MagicByte0 is the first on-the-wire byte of every binary frame — the
-// single byte transport negotiation peeks at.
+// MagicByte0 is the first on-the-wire byte of every frame.
 const MagicByte0 byte = byte(Magic >> 8)
 
 // Version is the wire-format version encoded in every frame.  A
-// scheduler that sees a newer version drops the connection; the peer
-// falls back to reconnecting with JSON framing.
+// scheduler that sees another version fails the decode and drops the
+// connection.
 const Version byte = 1
 
 // HeaderSize is the fixed frame-header length in bytes.
 const HeaderSize = 10
 
-// MaxFrame bounds the body of one frame, mirroring the JSON transport's
-// cap, so a corrupt or hostile length prefix cannot force a huge
-// allocation.
+// MaxFrame bounds the body of one frame, so a corrupt or hostile length
+// prefix cannot force a huge allocation.
 const MaxFrame = 64 << 20
 
 // MaxTaskID bounds the task-id field (it has a 1-byte length).

@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/cluster/wire"
 )
 
 // Handler executes one task payload and returns a result payload.  In the
@@ -52,51 +54,37 @@ type Worker struct {
 	// Logf, if non-nil, receives diagnostic output.
 	Logf func(format string, args ...interface{})
 
-	addr      string
-	transport Transport
-	dialer    Dialer
-	wire      wireCounters
+	addr   string
+	dialer Dialer
+	wire   wireCounters
 
 	mu      sync.Mutex // guards conn, cd, snap, closed
 	conn    net.Conn
-	cd      codec
+	cd      *codec
 	snap    *snapshotData
 	closed  bool
 	writeMu sync.Mutex // serializes frames (results vs heartbeats)
 }
 
-// NewWorker dials the scheduler and registers over the default binary
-// framing.
+// NewWorker dials the scheduler over one TCP connection and registers.
 func NewWorker(addr, name string, handler Handler) (*Worker, error) {
-	return NewWorkerTransport(addr, name, handler, TransportBinary)
-}
-
-// NewWorkerTransport dials the scheduler and registers, speaking the
-// given framing for the life of the worker (reconnections included).
-func NewWorkerTransport(addr, name string, handler Handler, tr Transport) (*Worker, error) {
-	if handler == nil {
-		return nil, fmt.Errorf("cluster: worker needs a handler")
-	}
-	w := &Worker{Name: name, Handler: handler, addr: addr, transport: tr, dialer: tcpDialer(addr)}
-	conn, cd, snap, err := w.dialAndRegister()
-	if err != nil {
-		return nil, err
-	}
-	w.conn, w.cd, w.snap = conn, cd, snap
-	return w, nil
+	return newWorker(addr, name, handler, tcpDialer(addr))
 }
 
 // NewWorkerMux dials the scheduler through a shared MuxDialer: the
 // worker's "connection" is one logical stream multiplexed with its
-// siblings over the dialer's TCP pool.  Framing is binary (the only
-// framing mux carries); reconnection works exactly as over TCP — each
-// re-dial just opens a fresh stream, re-establishing a dead physical
-// session lazily if its slot needs one.
+// siblings over the dialer's TCP pool.  Reconnection works exactly as
+// over TCP — each re-dial just opens a fresh stream, re-establishing a
+// dead physical session lazily if its slot needs one.
 func NewWorkerMux(d *MuxDialer, name string, handler Handler) (*Worker, error) {
+	return newWorker(d.Addr, name, handler, d)
+}
+
+func newWorker(addr, name string, handler Handler, dialer Dialer) (*Worker, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("cluster: worker needs a handler")
 	}
-	w := &Worker{Name: name, Handler: handler, addr: d.Addr, transport: TransportBinary, dialer: d}
+	w := &Worker{Name: name, Handler: handler, addr: addr, dialer: dialer}
 	conn, cd, snap, err := w.dialAndRegister()
 	if err != nil {
 		return nil, err
@@ -105,17 +93,17 @@ func NewWorkerMux(d *MuxDialer, name string, handler Handler) (*Worker, error) {
 	return w, nil
 }
 
-// dialAndRegister dials, registers with flagWantSnapshot, and waits for
+// dialAndRegister dials, registers with wire.FlagWantSnapshot, and waits for
 // the scheduler's snapshot reply.  Registering mid-campaign therefore
 // costs one compact frame — where the campaign stands and which leases
 // are outstanding — never a replay of history.
-func (w *Worker) dialAndRegister() (net.Conn, codec, *snapshotData, error) {
+func (w *Worker) dialAndRegister() (net.Conn, *codec, *snapshotData, error) {
 	conn, err := w.dialer.Dial()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cd := dialCodec(w.transport, conn, &w.wire)
-	if err := cd.write(&message{Type: msgRegister, Name: w.Name, Flags: flagWantSnapshot}); err != nil {
+	cd, _ := newConnCodec(conn, &w.wire)
+	if err := cd.write(&message{Type: wire.TypeRegister, Name: w.Name, Flags: wire.FlagWantSnapshot}); err != nil {
 		//lint:ignore errdiscard best-effort close of a half-registered conn; the register error is returned
 		conn.Close()
 		return nil, nil, nil, err
@@ -126,7 +114,7 @@ func (w *Worker) dialAndRegister() (net.Conn, codec, *snapshotData, error) {
 		conn.Close()
 		return nil, nil, nil, fmt.Errorf("cluster: reading register snapshot: %w", err)
 	}
-	if first.Type != msgSnapshot {
+	if first.Type != wire.TypeSnapshot {
 		//lint:ignore errdiscard best-effort close of a conn that broke protocol; the type error is returned
 		conn.Close()
 		return nil, nil, nil, fmt.Errorf("cluster: expected snapshot after register, got %q", first.Type)
@@ -172,7 +160,7 @@ func (w *Worker) logf(format string, args ...interface{}) {
 	}
 }
 
-func (w *Worker) current() (net.Conn, codec) {
+func (w *Worker) current() (net.Conn, *codec) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.conn, w.cd
@@ -217,7 +205,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // reconnect re-dials the scheduler with backoff until it succeeds, the
 // context is cancelled, Close is called, or MaxReconnects consecutive
 // attempts fail.
-func (w *Worker) reconnect(ctx context.Context, bo *backoff) (net.Conn, codec, error) {
+func (w *Worker) reconnect(ctx context.Context, bo *backoff) (net.Conn, *codec, error) {
 	attempts := 0
 	for {
 		if ctx.Err() != nil || w.isClosed() {
@@ -259,19 +247,19 @@ func (w *Worker) reconnect(ctx context.Context, bo *backoff) (net.Conn, codec, e
 }
 
 // serve pulls assignments from one connection until it fails.
-func (w *Worker) serve(ctx context.Context, cd codec) error {
+func (w *Worker) serve(ctx context.Context, cd *codec) error {
 	for {
 		m, err := cd.read()
 		if err != nil {
 			return err
 		}
-		if m.Type == msgSnapshot {
+		if m.Type == wire.TypeSnapshot {
 			w.mu.Lock()
 			w.snap = m.Snap
 			w.mu.Unlock()
 			continue
 		}
-		if m.Type != msgAssign {
+		if m.Type != wire.TypeAssign {
 			w.logf("cluster: worker %q got unexpected message %q; ignoring", w.Name, m.Type)
 			continue
 		}
@@ -288,7 +276,7 @@ func (w *Worker) serve(ctx context.Context, cd codec) error {
 }
 
 // write sends one frame, serialized against concurrent heartbeats.
-func (w *Worker) write(cd codec, m *message) error {
+func (w *Worker) write(cd *codec, m *message) error {
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
 	return cd.write(m)
@@ -298,7 +286,7 @@ func (w *Worker) write(cd codec, m *message) error {
 // and panic containment.  It returns nil when the parent context was
 // cancelled (worker shutting down), so that Ctrl-C is never misreported
 // as a task timeout.
-func (w *Worker) execute(ctx context.Context, cd codec, m *message) *message {
+func (w *Worker) execute(ctx context.Context, cd *codec, m *message) *message {
 	taskCtx := ctx
 	var cancel context.CancelFunc
 	if w.TaskTimeout > 0 {
@@ -317,7 +305,7 @@ func (w *Worker) execute(ctx context.Context, cd codec, m *message) *message {
 				case <-ticker.C:
 					// A failed heartbeat is not fatal here; the serve loop
 					// will see the connection error on its next read/write.
-					_ = w.write(cd, &message{Type: msgHeartbeat, TaskID: m.TaskID})
+					_ = w.write(cd, &message{Type: wire.TypeHeartbeat, TaskID: m.TaskID})
 				case <-hbDone:
 					return
 				}
@@ -347,7 +335,7 @@ func (w *Worker) execute(ctx context.Context, cd codec, m *message) *message {
 		// and report the timeout so the worker stays live for the next
 		// task — a hung handler must not wedge the worker.
 		w.logf("cluster: worker %q abandoning task %s after %v (handler ignored context)", w.Name, m.TaskID, w.TaskTimeout)
-		return &message{Type: msgResult, TaskID: m.TaskID,
+		return &message{Type: wire.TypeResult, TaskID: m.TaskID,
 			Err: fmt.Sprintf("cluster: task timed out after %v", w.TaskTimeout)}
 	}
 
@@ -364,7 +352,7 @@ func (w *Worker) execute(ctx context.Context, cd codec, m *message) *message {
 		return nil
 	}
 
-	res := &message{Type: msgResult, TaskID: m.TaskID}
+	res := &message{Type: wire.TypeResult, TaskID: m.TaskID}
 	if out.err != nil {
 		res.Err = out.err.Error()
 	} else {

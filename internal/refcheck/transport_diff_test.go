@@ -12,9 +12,9 @@ import (
 	"repro/internal/deepmd"
 )
 
-// TestGoldenCampaignTransportDifferential is the cross-transport oracle
+// TestGoldenCampaignTransportDifferential is the transport oracle
 // for the whole pipeline: the golden campaign run over the cluster plane
-// with binary framing, with JSON framing, and at different per-worker
+// on one connection per peer, multiplexed, and at different per-worker
 // thread counts must reproduce the committed local fixtures byte for
 // byte.  Local execution pins the same fixtures in
 // TestGoldenCampaignLocal, so any divergence here isolates a transport
@@ -25,23 +25,21 @@ func TestGoldenCampaignTransportDifferential(t *testing.T) {
 	}
 	train, val := goldenDataset(t)
 	cases := []struct {
-		name      string
-		transport cluster.Transport
-		threads   int
-		muxConns  int
+		name     string
+		threads  int
+		muxConns int
 	}{
-		{"binary_threads1", cluster.TransportBinary, 1, 0},
-		{"binary_threads8", cluster.TransportBinary, 8, 0},
-		{"json_threads1", cluster.TransportJSON, 1, 0},
+		{"binary_threads1", 1, 0},
+		{"binary_threads8", 8, 0},
 		// The mux leg multiplexes both workers and the client over one
 		// shared TCP connection with coalescing on: batching frames must
 		// never change a byte of what they carry.
-		{"mux_conns1_threads1", cluster.TransportBinary, 1, 1},
+		{"mux_conns1_threads1", 1, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			worker := &GoldenEvaluator{Train: train, Val: val, Threads: tc.threads}
-			opts := []cluster.LocalOption{cluster.WithTransport(tc.transport)}
+			var opts []cluster.LocalOption
 			if tc.muxConns > 0 {
 				opts = append(opts, cluster.WithMuxConns(tc.muxConns),
 					cluster.WithCoalesce(200*time.Microsecond))
@@ -54,7 +52,7 @@ func TestGoldenCampaignTransportDifferential(t *testing.T) {
 
 			res, err := RunGoldenCampaign(context.Background(), &cluster.Evaluator{Client: lc.Client}, 2)
 			if err != nil {
-				t.Fatalf("golden campaign via %v cluster: %v", tc.transport, err)
+				t.Fatalf("golden campaign via %s cluster: %v", tc.name, err)
 			}
 			checkGolden(t, "frontier.txt", []byte(FormatFrontier(res.Final)))
 			checkGolden(t, "hypervolume.txt", []byte(FormatHypervolume(res.Final)))
@@ -63,8 +61,9 @@ func TestGoldenCampaignTransportDifferential(t *testing.T) {
 }
 
 // TestGoldenLCurveTransportInvariance ships the reference candidate's
-// raw learning-curve bytes through a cluster round trip on each framing
-// and requires both to deliver the committed lcurve.out fixture exactly.
+// raw learning-curve bytes through a cluster round trip, per connection
+// and multiplexed, and requires both to deliver the committed lcurve.out
+// fixture exactly.
 // The lcurve is the most fragile artifact we emit — free-form text with
 // scientific-notation floats — so it makes a good payload-transparency
 // probe for the binary codec.
@@ -92,8 +91,7 @@ func TestGoldenLCurveTransportInvariance(t *testing.T) {
 		name string
 		opts []cluster.LocalOption
 	}{
-		{"binary", []cluster.LocalOption{cluster.WithTransport(cluster.TransportBinary)}},
-		{"json", []cluster.LocalOption{cluster.WithTransport(cluster.TransportJSON)}},
+		{"binary", nil},
 		{"mux", []cluster.LocalOption{cluster.WithMuxConns(1), cluster.WithCoalesce(200 * time.Microsecond)}},
 	}
 	for _, leg := range legs {

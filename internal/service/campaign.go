@@ -290,7 +290,7 @@ func (s *Service) run(ctx context.Context, c *Campaign, t *tenant) {
 		frontier := len(res.ParetoFront())
 		c.mu.Unlock()
 
-		if err := s.checkpoint(c); err != nil {
+		if err := s.checkpoint(c, ""); err != nil {
 			s.logf("checkpoint_error", "id", c.ID, "err", err)
 		}
 		c.emit(Event{Type: "generation", Gen: gd, Evals: evals, Failures: fails, Frontier: frontier})
@@ -298,14 +298,25 @@ func (s *Service) run(ctx context.Context, c *Campaign, t *tenant) {
 			"gen", gd, "of", target, "evals", evals, "failures", fails, "frontier", frontier)
 	}
 
-	c.mu.Lock()
-	c.state = StateDone
-	c.mu.Unlock()
-	if err := s.checkpoint(c); err != nil {
+	s.end(c, StateDone, Event{Type: "done"})
+	s.logf("campaign_done", "id", c.ID, "tenant", c.Tenant)
+}
+
+// end moves c to a state that ends its event feed (terminal, or
+// suspended by a drain) and emits the event announcing it.  The
+// checkpoint recording st is written first; st and e then appear
+// together under c.mu.  So once anyone can observe st, the checkpoint
+// on disk already holds it, and a reader that observes st (streamSSE)
+// also finds e in the ring: the feed never closes before its final
+// event is written.
+func (s *Service) end(c *Campaign, st State, e Event) {
+	if err := s.checkpoint(c, st); err != nil {
 		s.logf("checkpoint_error", "id", c.ID, "err", err)
 	}
-	c.emit(Event{Type: "done"})
-	s.logf("campaign_done", "id", c.ID, "tenant", c.Tenant)
+	c.mu.Lock()
+	c.state = st
+	c.emit(e)
+	c.mu.Unlock()
 }
 
 // finishLeg classifies a failed leg: context cancellation is either a
@@ -314,26 +325,21 @@ func (s *Service) run(ctx context.Context, c *Campaign, t *tenant) {
 // lost.
 func (s *Service) finishLeg(ctx context.Context, c *Campaign, legErr error) {
 	c.mu.Lock()
-	var typ string
+	var st State
 	switch {
 	case ctx.Err() != nil && c.cancelled:
-		c.state = StateCancelled
-		typ = "cancelled"
+		st = StateCancelled
 	case ctx.Err() != nil:
-		c.state = StateSuspended
-		typ = "suspended"
+		st = StateSuspended
 	default:
-		c.state = StateFailed
+		st = StateFailed
 		c.errMsg = legErr.Error()
-		typ = "failed"
 	}
+	typ := string(st)
 	gd := c.gensDoneLocked()
 	c.mu.Unlock()
 
-	if err := s.checkpoint(c); err != nil {
-		s.logf("checkpoint_error", "id", c.ID, "err", err)
-	}
-	c.emit(Event{Type: typ, Gen: gd, Detail: legErr.Error()})
+	s.end(c, st, Event{Type: typ, Gen: gd, Detail: legErr.Error()})
 	s.logf("campaign_"+typ, "id", c.ID, "tenant", c.Tenant, "gens_done", gd, "err", legErr)
 }
 

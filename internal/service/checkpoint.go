@@ -47,12 +47,17 @@ type checkpointFile struct {
 }
 
 // checkpoint persists c to CheckpointDir/<id>.json; a no-op without a
-// checkpoint directory.
-func (s *Service) checkpoint(c *Campaign) error {
+// checkpoint directory.  It records st as the campaign's state, or the
+// current state when st is empty (Service.end writes a state before
+// setting it).
+func (s *Service) checkpoint(c *Campaign, st State) error {
 	if s.cfg.CheckpointDir == "" {
 		return nil
 	}
 	c.mu.Lock()
+	if st == "" {
+		st = c.state
+	}
 	cf := checkpointFile{
 		Format:  checkpointFormat,
 		Version: checkpointVersion,
@@ -61,7 +66,7 @@ func (s *Service) checkpoint(c *Campaign) error {
 			Tenant:  c.Tenant,
 			Created: c.Created,
 			Spec:    c.Spec,
-			State:   c.state,
+			State:   st,
 			Error:   c.errMsg,
 		},
 	}

@@ -80,7 +80,7 @@ func waitStatusHTTP(t *testing.T, base, id string, want service.State) service.S
 func TestHTTPCampaignLifecycle(t *testing.T) {
 	_, srv := newTestServer(t, func(cfg *service.Config) {
 		cfg.SchedulerWire = func() cluster.WireStats {
-			return cluster.WireStats{FramesIn: 7, FramesOut: 9, BytesIn: 512, BytesOut: 1024, BinaryConns: 3}
+			return cluster.WireStats{FramesIn: 7, FramesOut: 9, BytesIn: 512, BytesOut: 1024, Conns: 3}
 		}
 		cfg.SchedulerQueue = func() []int { return []int{2, 0, 5} }
 		cfg.SchedulerMux = func() mux.Stats {
@@ -210,7 +210,7 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 		"repro_service_evaluations_total",
 		"repro_service_memo_misses_total",
 		"repro_cluster_wire_frames_in_total 7",
-		`repro_cluster_wire_conns_total{transport="binary"} 3`,
+		"repro_cluster_wire_conns_total 3\n",
 		`repro_cluster_queue_depth{shard="2"} 5`,
 		"repro_cluster_mux_sessions_total 2",
 		"repro_cluster_mux_coalesced_frames_total 27",
@@ -267,16 +267,18 @@ func TestHTTPQuotaAndCancel(t *testing.T) {
 	close(be.release)
 }
 
-// TestHTTPSSEStream drives the Server-Sent-Events feed end to end: the
-// replayed backlog, live generation events, ordered IDs, and stream
-// termination once the campaign is done.
-func TestHTTPSSEStream(t *testing.T) {
-	_, srv := newTestServer(t, nil)
-	base := srv.URL
+// sseFrame is one parsed Server-Sent-Events frame.
+type sseFrame struct {
+	id    uint64
+	event string
+	data  service.Event
+}
 
-	st := postCampaign(t, base, `{"tenant":"alice","runs":1,"pop_size":5,"generations":2,"base_seed":3}`)
-
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/campaigns/"+st.ID+"/events", nil)
+// followSSE follows a campaign's event feed over SSE until the server
+// ends it and returns every frame received.
+func followSSE(t *testing.T, base, id string) []sseFrame {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, base+"/v1/campaigns/"+id+"/events", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,13 +292,8 @@ func TestHTTPSSEStream(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 
-	type frame struct {
-		id    uint64
-		event string
-		data  service.Event
-	}
-	var frames []frame
-	var cur frame
+	var frames []sseFrame
+	var cur sseFrame
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
@@ -311,12 +308,24 @@ func TestHTTPSSEStream(t *testing.T) {
 			}
 		case line == "":
 			frames = append(frames, cur)
-			cur = frame{}
+			cur = sseFrame{}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatalf("stream read: %v", err)
 	}
+	return frames
+}
+
+// TestHTTPSSEStream drives the Server-Sent-Events feed end to end: the
+// replayed backlog, live generation events, ordered IDs, and stream
+// termination once the campaign is done.
+func TestHTTPSSEStream(t *testing.T) {
+	_, srv := newTestServer(t, nil)
+	base := srv.URL
+
+	st := postCampaign(t, base, `{"tenant":"alice","runs":1,"pop_size":5,"generations":2,"base_seed":3}`)
+	frames := followSSE(t, base, st.ID)
 	if len(frames) < 4 {
 		t.Fatalf("only %d frames", len(frames))
 	}
@@ -360,5 +369,24 @@ func TestHTTPSSEStream(t *testing.T) {
 	}
 	if strings.Contains(string(tail), fmt.Sprintf("id: %d\n", mid)) {
 		t.Fatal("resumed stream replayed already-delivered events")
+	}
+}
+
+// TestHTTPSSEEndsWithDone pins the feed's closing contract: a client
+// following a campaign over SSE always receives "done" as its last
+// frame.  Checkpoints are on, so the final checkpoint write sits between
+// the last generation event and "done" — the window in which a feed
+// that ended on the terminal state alone closed early.
+func TestHTTPSSEEndsWithDone(t *testing.T) {
+	_, srv := newTestServer(t, func(cfg *service.Config) { cfg.CheckpointDir = t.TempDir() })
+	for i := 0; i < 8; i++ {
+		st := postCampaign(t, srv.URL, fmt.Sprintf(`{"tenant":"alice","runs":1,"pop_size":4,"generations":2,"base_seed":%d}`, i))
+		frames := followSSE(t, srv.URL, st.ID)
+		if len(frames) == 0 {
+			t.Fatalf("campaign %d: empty feed", i)
+		}
+		if last := frames[len(frames)-1]; last.event != "done" {
+			t.Fatalf("campaign %d: feed ended on %q, want done (%d frames)", i, last.event, len(frames))
+		}
 	}
 }

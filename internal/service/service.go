@@ -242,7 +242,7 @@ func (s *Service) Create(spec Spec) (*Campaign, error) {
 	c.emit(Event{Type: "created", Detail: spec.Name})
 	s.logf("campaign_created", "id", c.ID, "tenant", c.Tenant, "name", c.Spec.Name,
 		"runs", c.Spec.Runs, "pop", c.Spec.PopSize, "gens", c.Spec.gens())
-	if err := s.checkpoint(c); err != nil {
+	if err := s.checkpoint(c, ""); err != nil {
 		s.logf("checkpoint_error", "id", c.ID, "err", err)
 	}
 
@@ -348,11 +348,11 @@ func (s *Service) Cancel(id string) error {
 		}
 		t.total--
 		c.state = StateCancelled
+		c.emit(Event{Type: "cancelled"}) // together with the state, as in Service.end
 		c.mu.Unlock()
 		s.mu.Unlock()
-		c.emit(Event{Type: "cancelled"})
 		s.logf("campaign_cancelled", "id", c.ID, "tenant", c.Tenant, "while", "queued")
-		if err := s.checkpoint(c); err != nil {
+		if err := s.checkpoint(c, ""); err != nil {
 			s.logf("checkpoint_error", "id", c.ID, "err", err)
 		}
 		return nil

@@ -1,12 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — hot-path benchmark runner for the scheduler scale-out PR.
 #
-# Runs the cluster transport benchmarks and writes BENCH_8.json at the
-# repo root: ns/op and allocs/op per benchmark, plus four speedup
-# sections —
-#   sched_throughput_speedup_vs_json    binary over JSON per grid point
-#                                       (carried over from BENCH_7)
-#   codec_speedup_vs_json               pure framing cost, no sockets
+# Runs the cluster benchmarks and writes BENCH_8.json at the repo root:
+# ns/op and allocs/op per benchmark, plus two speedup sections —
 #   sched_throughput_speedup_vs_bench7  the scale-out grid (mux over a
 #                                       2-connection pool vs one conn
 #                                       per peer) against the committed
@@ -65,28 +61,6 @@ END {
         if (alloc[name] != "") printf ", \"allocs_per_op\": %s", alloc[name]
         printf "}%s\n", (i < n) ? "," : ""
     }
-    # End-to-end scheduler throughput, binary over JSON, per grid point.
-    printf "  },\n  \"sched_throughput_speedup_vs_json\": {\n"
-    np = 0
-    for (i = 1; i <= n; i++) {
-        name = order[i]
-        if (name !~ /^BenchmarkSchedulerThroughput.*transport=binary$/) continue
-        twin = name; sub(/transport=binary$/, "transport=json", twin)
-        if (!(twin in ns) || ns[name] + 0 == 0) continue
-        pairs[++np] = sprintf("    \"%s\": %.2f", name, ns[twin] / ns[name])
-    }
-    for (i = 1; i <= np; i++) printf "%s%s\n", pairs[i], (i < np) ? "," : ""
-    # Pure framing cost with no scheduler and no sockets in the way.
-    printf "  },\n  \"codec_speedup_vs_json\": {\n"
-    np = 0
-    for (i = 1; i <= n; i++) {
-        name = order[i]
-        if (name !~ /^BenchmarkCodecRoundTrip.*transport=binary$/) continue
-        twin = name; sub(/transport=binary$/, "transport=json", twin)
-        if (!(twin in ns) || ns[name] + 0 == 0) continue
-        pairs[++np] = sprintf("    \"%s\": %.2f", name, ns[twin] / ns[name])
-    }
-    for (i = 1; i <= np; i++) printf "%s%s\n", pairs[i], (i < np) ? "," : ""
     # Scale-out grid against the committed BENCH_7 binary baselines: the
     # same worker count over one connection per peer, pre-sharding and
     # pre-mux.  Defined wherever BENCH_7 has the matching point.
