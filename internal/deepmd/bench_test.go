@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/descriptor"
 	"repro/internal/md"
+	"repro/internal/nn"
 )
 
 func benchData(b *testing.B, frames int) *dataset.Dataset {
@@ -99,6 +101,69 @@ func BenchmarkTrainStepBatch(b *testing.B) {
 			b.ResetTimer()
 			if _, err := Train(context.Background(), m, train, val, cfg, nil); err != nil && err != ErrDiverged {
 				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkTrainStepPaperWidth measures one paper-mode optimizer step —
+// one frame's energy and force gradient plus the Adam update — at the
+// paper's network widths (embedding {25,50,100}, axis 4, fitting
+// {240,240,240}) on a 50-atom AlCl₃/KCl cell (10 Al, 5 K, 35 Cl at the
+// paper's number density), serially.  The toy-width benches above hide
+// where paper-width time goes: here the nn/blas GEMMs dominate.  The
+// step reuses its scratch, so allocs/op is 0 in steady state.
+func BenchmarkTrainStepPaperWidth(b *testing.B) {
+	species := make([]md.Species, 50)
+	for i := range species {
+		switch {
+		case i < 10:
+			species[i] = md.Al
+		case i < 15:
+			species[i] = md.K
+		default:
+			species[i] = md.Cl
+		}
+	}
+	d := dataset.Generate(rand.New(rand.NewSource(1)), species, 12.106, 498, md.NewPaperBMH(5.5), 0.5, 50, 5, 4)
+	for _, rcut := range []float64{6, 9} {
+		b.Run(fmt.Sprintf("rcut=%v", rcut), func(b *testing.B) {
+			m, err := NewModel(rand.New(rand.NewSource(3)), ModelConfig{
+				Descriptor: descriptor.Config{
+					RCut: rcut, RCutSmth: 2.42,
+					EmbeddingSizes: []int{25, 50, 100},
+					AxisNeurons:    4,
+					Activation:     nn.Tanh,
+					NumSpecies:     3,
+				},
+				FittingSizes:      []int{240, 240, 240},
+				FittingActivation: nn.Tanh,
+				NumSpecies:        3,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.SetThreads(1)
+			initBias(m, d)
+			pe, pf := PaperPrefactors().At(1)
+			params, opt := m.Params(), nn.NewAdam()
+			ws := &batchScratch{}
+			frames := make([]*dataset.Frame, 1)
+			step := func(i int) {
+				frames[0] = &d.Frames[i%len(d.Frames)]
+				m.ZeroGrad()
+				if err := m.accumulateBatchGrad(ws, d.Types, frames, pe, pf, 1e-4, false); err != nil {
+					b.Fatal(err)
+				}
+				opt.Step(params, 1e-6)
+			}
+			for i := range d.Frames { // warm every frame's scratch
+				step(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(i)
 			}
 		})
 	}

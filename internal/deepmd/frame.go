@@ -307,24 +307,13 @@ func (m *Model) forwardSlots(ws *batchScratch, types []int, frames []*dataset.Fr
 			ws.slots = append(ws.slots, f*n+i)
 		}
 	}
-	coordOf := func(f int) []float64 {
-		if displaced {
-			return ws.pos[f]
-		}
-		return frames[f].Coord
-	}
-	fw := m.Desc.ForwardEnv
-	if fast {
-		fw = m.Desc.ScanEnv
-	}
 	threads := m.threads
 	if threads > len(ws.slots) {
 		threads = len(ws.slots)
 	}
 	if threads <= 1 {
 		for _, slot := range ws.slots {
-			f, i := slot/n, slot%n
-			ws.envs[slot] = fw(ws.envs[slot], coordOf(f), types, frames[f].Box, i, ws.nls[f].Candidates(i))
+			m.envSlot(ws, types, frames, slot, displaced, fast)
 		}
 	} else {
 		var next int64
@@ -338,9 +327,7 @@ func (m *Model) forwardSlots(ws *batchScratch, types []int, frames []*dataset.Fr
 					if k >= len(ws.slots) {
 						return
 					}
-					slot := ws.slots[k]
-					f, i := slot/n, slot%n
-					ws.envs[slot] = fw(ws.envs[slot], coordOf(f), types, frames[f].Box, i, ws.nls[f].Candidates(i))
+					m.envSlot(ws, types, frames, ws.slots[k], displaced, fast)
 				}
 			}()
 		}
@@ -353,6 +340,24 @@ func (m *Model) forwardSlots(ws *batchScratch, types []int, frames []*dataset.Fr
 		}
 		m.Desc.ForwardEnvBatch(&ws.eb, ws.envList)
 	}
+}
+
+// envSlot evaluates the descriptor environment of one slot for
+// forwardSlots.  It is a method rather than a closure so that the serial
+// path does not heap-allocate the closures the pooled path's goroutines
+// would capture.
+func (m *Model) envSlot(ws *batchScratch, types []int, frames []*dataset.Frame, slot int, displaced, fast bool) {
+	n := len(types)
+	f, i := slot/n, slot%n
+	coord := frames[f].Coord
+	if displaced {
+		coord = ws.pos[f]
+	}
+	if fast {
+		ws.envs[slot] = m.Desc.ScanEnv(ws.envs[slot], coord, types, frames[f].Box, i, ws.nls[f].Candidates(i))
+		return
+	}
+	ws.envs[slot] = m.Desc.ForwardEnv(ws.envs[slot], coord, types, frames[f].Box, i, ws.nls[f].Candidates(i))
 }
 
 // buildRows groups the active slots by species in slot (frame-major,

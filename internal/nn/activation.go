@@ -158,9 +158,9 @@ func (tanhAct) Name() string            { return "tanh" }
 func (tanhAct) Apply(x float64) float64 { return math.Tanh(x) }
 func (tanhAct) Deriv(x float64) float64 {
 	t := math.Tanh(x)
-	return 1 - t*t
+	return 1 - float64(t*t)
 }
-func (tanhAct) DerivFromOutput(y float64) float64 { return 1 - y*y }
+func (tanhAct) DerivFromOutput(y float64) float64 { return 1 - float64(y*y) }
 
 type identity struct{}
 

@@ -11,13 +11,20 @@
 // index — k (inputs) in the forward pass, o (outputs) in the
 // input-gradient pass, r (samples) in the parameter-gradient pass — is
 // summed strictly in ascending order into a single accumulator, exactly
-// like the scalar per-sample loops.  Blocking and unrolling are applied
-// only across rows and output columns (independent accumulators) or as
-// sequential adds into one accumulator, never as a reassociation of a
-// reduction.  Go does not reorder floating-point arithmetic, so every
-// kernel here is bit-identical to its scalar counterpart for any batch
-// size, which is what keeps lcurve.out and the golden campaign byte-stable
-// with batching enabled.
+// like the scalar per-sample loops.  Blocking, unrolling and SIMD lanes
+// are applied only across rows and output columns (independent
+// accumulators) or as sequential adds into one accumulator, never as a
+// reassociation of a reduction.  Every product is rounded before it is
+// added: the Go kernels write it as float64(a*b), which the language spec
+// forbids the compiler to fuse into an FMA (arm64 and ppc64 fuse a bare
+// s += a*b), and the assembly kernels issue VMULPD then VADDPD, never
+// VFMADD.  So every kernel here is bit-identical to its scalar
+// counterpart for any batch size on every GOARCH, which is what keeps
+// lcurve.out and the golden campaign byte-stable with batching enabled.
+//
+// On amd64 CPUs with AVX2 (detected once at init from CPUID and XGETBV)
+// the exported kernels run Go-assembly implementations; elsewhere they
+// run the portable Go kernels, which also serve as the tests' reference.
 package blas
 
 // GemmBiasAct computes the fused dense forward pass over a batch:
@@ -25,11 +32,48 @@ package blas
 //	preact[r][o] = bias[o] + Σ_k x[r][k]·w[o][k]   (k ascending)
 //	out[r][o]    = act(preact[r][o])
 //
-// preact and out are n×out and fully overwritten.  Rows are processed in
+// preact and out are n×out and fully overwritten.
+func GemmBiasAct(preact, out, x, w, bias []float64, n, in, outDim int, act func(float64) float64) {
+	if useAVX2 {
+		gemmBiasActAVX2(preact, out, x, w, bias, n, in, outDim, act)
+		return
+	}
+	gemmBiasActGeneric(preact, out, x, w, bias, n, in, outDim, act)
+}
+
+// GemmNN computes the transpose-aware input-gradient product dX = G·W:
+//
+//	dx[r][i] = Σ_o g[r][o]·w[o][i]   (o ascending)
+//
+// dx is n×in and fully overwritten.
+func GemmNN(dx, g, w []float64, n, in, outDim int) {
+	if useAVX2 {
+		gemmNNAVX2(dx, g, w, n, in, outDim)
+		return
+	}
+	gemmNNGeneric(dx, g, w, n, in, outDim)
+}
+
+// AccumGrad accumulates the transpose-aware parameter gradients
+// dW += Gᵀ·X and dB += column sums of G:
+//
+//	gradW[o][i] += Σ_r g[r][o]·x[r][i]   (r ascending)
+//	gradB[o]    += Σ_r g[r][o]           (r ascending)
+//
+// The result is bit-identical to n sequential scalar Backward calls.
+func AccumGrad(gradW, gradB, g, x []float64, n, in, outDim int) {
+	if useAVX2 {
+		accumGradAVX2(gradW, gradB, g, x, n, in, outDim)
+		return
+	}
+	accumGradGeneric(gradW, gradB, g, x, n, in, outDim)
+}
+
+// gemmBiasActGeneric is the portable GemmBiasAct.  Rows are processed in
 // blocks of eight (then four) so each weight row is loaded once per
 // block; the k loop is unrolled with sequential adds into each row's
 // accumulator, preserving the scalar summation order bit-for-bit.
-func GemmBiasAct(preact, out, x, w, bias []float64, n, in, outDim int, act func(float64) float64) {
+func gemmBiasActGeneric(preact, out, x, w, bias []float64, n, in, outDim int, act func(float64) float64) {
 	r := 0
 	for ; r+8 <= n; r += 8 {
 		x0 := x[r*in : r*in+in]
@@ -48,33 +92,33 @@ func GemmBiasAct(preact, out, x, w, bias []float64, n, in, outDim int, act func(
 			k := 0
 			for ; k+2 <= in; k += 2 {
 				w0, w1 := wrow[k], wrow[k+1]
-				s0 += w0 * x0[k]
-				s0 += w1 * x0[k+1]
-				s1 += w0 * x1[k]
-				s1 += w1 * x1[k+1]
-				s2 += w0 * x2[k]
-				s2 += w1 * x2[k+1]
-				s3 += w0 * x3[k]
-				s3 += w1 * x3[k+1]
-				s4 += w0 * x4[k]
-				s4 += w1 * x4[k+1]
-				s5 += w0 * x5[k]
-				s5 += w1 * x5[k+1]
-				s6 += w0 * x6[k]
-				s6 += w1 * x6[k+1]
-				s7 += w0 * x7[k]
-				s7 += w1 * x7[k+1]
+				s0 += float64(w0 * x0[k])
+				s0 += float64(w1 * x0[k+1])
+				s1 += float64(w0 * x1[k])
+				s1 += float64(w1 * x1[k+1])
+				s2 += float64(w0 * x2[k])
+				s2 += float64(w1 * x2[k+1])
+				s3 += float64(w0 * x3[k])
+				s3 += float64(w1 * x3[k+1])
+				s4 += float64(w0 * x4[k])
+				s4 += float64(w1 * x4[k+1])
+				s5 += float64(w0 * x5[k])
+				s5 += float64(w1 * x5[k+1])
+				s6 += float64(w0 * x6[k])
+				s6 += float64(w1 * x6[k+1])
+				s7 += float64(w0 * x7[k])
+				s7 += float64(w1 * x7[k+1])
 			}
 			for ; k < in; k++ {
 				wk := wrow[k]
-				s0 += wk * x0[k]
-				s1 += wk * x1[k]
-				s2 += wk * x2[k]
-				s3 += wk * x3[k]
-				s4 += wk * x4[k]
-				s5 += wk * x5[k]
-				s6 += wk * x6[k]
-				s7 += wk * x7[k]
+				s0 += float64(wk * x0[k])
+				s1 += float64(wk * x1[k])
+				s2 += float64(wk * x2[k])
+				s3 += float64(wk * x3[k])
+				s4 += float64(wk * x4[k])
+				s5 += float64(wk * x5[k])
+				s6 += float64(wk * x6[k])
+				s7 += float64(wk * x7[k])
 			}
 			preact[r*outDim+o], out[r*outDim+o] = s0, act(s0)
 			preact[(r+1)*outDim+o], out[(r+1)*outDim+o] = s1, act(s1)
@@ -106,29 +150,29 @@ func GemmBiasAct(preact, out, x, w, bias []float64, n, in, outDim int, act func(
 			k := 0
 			for ; k+4 <= in; k += 4 {
 				w0, w1, w2, w3 := wrow[k], wrow[k+1], wrow[k+2], wrow[k+3]
-				s0 += w0 * x0[k]
-				s0 += w1 * x0[k+1]
-				s0 += w2 * x0[k+2]
-				s0 += w3 * x0[k+3]
-				s1 += w0 * x1[k]
-				s1 += w1 * x1[k+1]
-				s1 += w2 * x1[k+2]
-				s1 += w3 * x1[k+3]
-				s2 += w0 * x2[k]
-				s2 += w1 * x2[k+1]
-				s2 += w2 * x2[k+2]
-				s2 += w3 * x2[k+3]
-				s3 += w0 * x3[k]
-				s3 += w1 * x3[k+1]
-				s3 += w2 * x3[k+2]
-				s3 += w3 * x3[k+3]
+				s0 += float64(w0 * x0[k])
+				s0 += float64(w1 * x0[k+1])
+				s0 += float64(w2 * x0[k+2])
+				s0 += float64(w3 * x0[k+3])
+				s1 += float64(w0 * x1[k])
+				s1 += float64(w1 * x1[k+1])
+				s1 += float64(w2 * x1[k+2])
+				s1 += float64(w3 * x1[k+3])
+				s2 += float64(w0 * x2[k])
+				s2 += float64(w1 * x2[k+1])
+				s2 += float64(w2 * x2[k+2])
+				s2 += float64(w3 * x2[k+3])
+				s3 += float64(w0 * x3[k])
+				s3 += float64(w1 * x3[k+1])
+				s3 += float64(w2 * x3[k+2])
+				s3 += float64(w3 * x3[k+3])
 			}
 			for ; k < in; k++ {
 				wk := wrow[k]
-				s0 += wk * x0[k]
-				s1 += wk * x1[k]
-				s2 += wk * x2[k]
-				s3 += wk * x3[k]
+				s0 += float64(wk * x0[k])
+				s1 += float64(wk * x1[k])
+				s2 += float64(wk * x2[k])
+				s3 += float64(wk * x3[k])
 			}
 			p0[o], p1[o], p2[o], p3[o] = s0, s1, s2, s3
 			y0[o], y1[o], y2[o], y3[o] = act(s0), act(s1), act(s2), act(s3)
@@ -143,13 +187,13 @@ func GemmBiasAct(preact, out, x, w, bias []float64, n, in, outDim int, act func(
 			s := bias[o]
 			k := 0
 			for ; k+4 <= in; k += 4 {
-				s += wrow[k] * xr[k]
-				s += wrow[k+1] * xr[k+1]
-				s += wrow[k+2] * xr[k+2]
-				s += wrow[k+3] * xr[k+3]
+				s += float64(wrow[k] * xr[k])
+				s += float64(wrow[k+1] * xr[k+1])
+				s += float64(wrow[k+2] * xr[k+2])
+				s += float64(wrow[k+3] * xr[k+3])
 			}
 			for ; k < in; k++ {
-				s += wrow[k] * xr[k]
+				s += float64(wrow[k] * xr[k])
 			}
 			pr[o] = s
 			yr[o] = act(s)
@@ -157,15 +201,11 @@ func GemmBiasAct(preact, out, x, w, bias []float64, n, in, outDim int, act func(
 	}
 }
 
-// GemmNN computes the transpose-aware input-gradient product dX = G·W:
-//
-//	dx[r][i] = Σ_o g[r][o]·w[o][i]   (o ascending)
-//
-// dx is n×in and fully overwritten.  The o loop is outermost per row
+// gemmNNGeneric is the portable GemmNN.  The o loop is outermost per row
 // block — matching the scalar Backward, which walks outputs outermost —
 // so each dx element accumulates its o terms in the scalar order; the
 // four-wide unroll is across i (independent accumulators).
-func GemmNN(dx, g, w []float64, n, in, outDim int) {
+func gemmNNGeneric(dx, g, w []float64, n, in, outDim int) {
 	dx = dx[:n*in]
 	for i := range dx {
 		dx[i] = 0
@@ -186,29 +226,29 @@ func GemmNN(dx, g, w []float64, n, in, outDim int) {
 			k := 0
 			for ; k+4 <= in; k += 4 {
 				w0, w1, w2, w3 := wrow[k], wrow[k+1], wrow[k+2], wrow[k+3]
-				d0[k] += a0 * w0
-				d0[k+1] += a0 * w1
-				d0[k+2] += a0 * w2
-				d0[k+3] += a0 * w3
-				d1[k] += a1 * w0
-				d1[k+1] += a1 * w1
-				d1[k+2] += a1 * w2
-				d1[k+3] += a1 * w3
-				d2[k] += a2 * w0
-				d2[k+1] += a2 * w1
-				d2[k+2] += a2 * w2
-				d2[k+3] += a2 * w3
-				d3[k] += a3 * w0
-				d3[k+1] += a3 * w1
-				d3[k+2] += a3 * w2
-				d3[k+3] += a3 * w3
+				d0[k] += float64(a0 * w0)
+				d0[k+1] += float64(a0 * w1)
+				d0[k+2] += float64(a0 * w2)
+				d0[k+3] += float64(a0 * w3)
+				d1[k] += float64(a1 * w0)
+				d1[k+1] += float64(a1 * w1)
+				d1[k+2] += float64(a1 * w2)
+				d1[k+3] += float64(a1 * w3)
+				d2[k] += float64(a2 * w0)
+				d2[k+1] += float64(a2 * w1)
+				d2[k+2] += float64(a2 * w2)
+				d2[k+3] += float64(a2 * w3)
+				d3[k] += float64(a3 * w0)
+				d3[k+1] += float64(a3 * w1)
+				d3[k+2] += float64(a3 * w2)
+				d3[k+3] += float64(a3 * w3)
 			}
 			for ; k < in; k++ {
 				wk := wrow[k]
-				d0[k] += a0 * wk
-				d1[k] += a1 * wk
-				d2[k] += a2 * wk
-				d3[k] += a3 * wk
+				d0[k] += float64(a0 * wk)
+				d1[k] += float64(a1 * wk)
+				d2[k] += float64(a2 * wk)
+				d3[k] += float64(a3 * wk)
 			}
 		}
 	}
@@ -220,29 +260,23 @@ func GemmNN(dx, g, w []float64, n, in, outDim int) {
 			a := gr[o]
 			k := 0
 			for ; k+4 <= in; k += 4 {
-				dr[k] += a * wrow[k]
-				dr[k+1] += a * wrow[k+1]
-				dr[k+2] += a * wrow[k+2]
-				dr[k+3] += a * wrow[k+3]
+				dr[k] += float64(a * wrow[k])
+				dr[k+1] += float64(a * wrow[k+1])
+				dr[k+2] += float64(a * wrow[k+2])
+				dr[k+3] += float64(a * wrow[k+3])
 			}
 			for ; k < in; k++ {
-				dr[k] += a * wrow[k]
+				dr[k] += float64(a * wrow[k])
 			}
 		}
 	}
 }
 
-// AccumGrad accumulates the transpose-aware parameter gradients
-// dW += Gᵀ·X and dB += column sums of G:
-//
-//	gradW[o][i] += Σ_r g[r][o]·x[r][i]   (r ascending)
-//	gradB[o]    += Σ_r g[r][o]           (r ascending)
-//
-// The sample reduction is a sequence of rank-1 updates applied in
-// ascending row order — four rows are loaded per block but their terms
-// are added one after another into each accumulator, so the result is
-// bit-identical to n sequential scalar Backward calls.
-func AccumGrad(gradW, gradB, g, x []float64, n, in, outDim int) {
+// accumGradGeneric is the portable AccumGrad.  The sample reduction is a
+// sequence of rank-1 updates applied in ascending row order — four rows
+// are loaded per block but their terms are added one after another into
+// each accumulator.
+func accumGradGeneric(gradW, gradB, g, x []float64, n, in, outDim int) {
 	r := 0
 	for ; r+4 <= n; r += 4 {
 		x0 := x[r*in : r*in+in]
@@ -264,10 +298,10 @@ func AccumGrad(gradW, gradB, g, x []float64, n, in, outDim int) {
 			grow := gradW[o*in : o*in+in]
 			for k := 0; k < in; k++ {
 				s := grow[k]
-				s += a0 * x0[k]
-				s += a1 * x1[k]
-				s += a2 * x2[k]
-				s += a3 * x3[k]
+				s += float64(a0 * x0[k])
+				s += float64(a1 * x1[k])
+				s += float64(a2 * x2[k])
+				s += float64(a3 * x3[k])
 				grow[k] = s
 			}
 		}
@@ -281,13 +315,13 @@ func AccumGrad(gradW, gradB, g, x []float64, n, in, outDim int) {
 			grow := gradW[o*in : o*in+in]
 			k := 0
 			for ; k+4 <= in; k += 4 {
-				grow[k] += a * xr[k]
-				grow[k+1] += a * xr[k+1]
-				grow[k+2] += a * xr[k+2]
-				grow[k+3] += a * xr[k+3]
+				grow[k] += float64(a * xr[k])
+				grow[k+1] += float64(a * xr[k+1])
+				grow[k+2] += float64(a * xr[k+2])
+				grow[k+3] += float64(a * xr[k+3])
 			}
 			for ; k < in; k++ {
-				grow[k] += a * xr[k]
+				grow[k] += float64(a * xr[k])
 			}
 		}
 	}

@@ -133,3 +133,106 @@ func TestGemmNNOverwritesDx(t *testing.T) {
 		t.Fatalf("dx = %v, want [4 6]", dx)
 	}
 }
+
+// fillSpecial fills s with normal deviates and gives roughly one row in
+// four a ±0, ±Inf or NaN entry, so the bitwise comparisons also cover
+// signed zeros and non-finite propagation.
+func fillSpecial(rng *rand.Rand, s []float64, cols int) {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := range s {
+		s[i] = rng.NormFloat64()
+	}
+	for r := 0; r*cols < len(s); r++ {
+		if rng.Intn(4) == 0 {
+			s[r*cols+rng.Intn(cols)] = specials[rng.Intn(len(specials))]
+		}
+	}
+}
+
+// diffShapes are the shapes the dispatched kernels are compared on: n
+// 0–9 and beyond a row block, in and out at every residue mod 8, the
+// paper's embedding (1→25→50→100) and fitting (400/240→240→240→1)
+// layers at per-species atom counts, and layers past the assembly's
+// packing and row-chunk sizes.
+func diffShapes() []struct{ n, in, out int } {
+	var shapes []struct{ n, in, out int }
+	dims := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 25, 31}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 40} {
+		for _, in := range dims {
+			for _, out := range dims {
+				shapes = append(shapes, struct{ n, in, out int }{n, in, out})
+			}
+		}
+	}
+	for _, n := range []int{5, 10, 35, 37} {
+		for _, l := range [][2]int{{1, 25}, {25, 50}, {50, 100}, {400, 240}, {240, 240}, {240, 1}} {
+			shapes = append(shapes, struct{ n, in, out int }{n, l[0], l[1]})
+		}
+	}
+	return append(shapes, struct{ n, in, out int }{70, 530, 270}, struct{ n, in, out int }{133, 9, 3})
+}
+
+// sameBits fails unless got and want hold the same bits, except that any
+// NaN matches any NaN.  A NaN's payload is not part of the contract: on
+// amd64 an operation on two NaNs returns its first operand's payload, and
+// the Go compiler orders the operands of a commutative a*b or s+t as its
+// register allocation prefers, so the payload can change between two
+// builds of the same Go source.
+func sameBits(t *testing.T, what string, sh struct{ n, in, out int }, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+			continue
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("shape %+v: %s[%d] = %v (%#x), generic %v (%#x)", sh, what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestKernelsMatchGenericBitwise compares the exported kernels — the
+// assembly ones where the CPU has them — with the portable Go kernels
+// bit for bit.
+func TestKernelsMatchGenericBitwise(t *testing.T) {
+	if !useAVX2 {
+		t.Log("no assembly kernels on this machine: comparing the portable kernels with themselves")
+	}
+	rng := rand.New(rand.NewSource(13))
+	for _, sh := range diffShapes() {
+		x := make([]float64, sh.n*sh.in)
+		wm := make([]float64, sh.out*sh.in)
+		bias := make([]float64, sh.out)
+		g := make([]float64, sh.n*sh.out)
+		seedW := make([]float64, sh.out*sh.in)
+		seedB := make([]float64, sh.out)
+		fillSpecial(rng, x, sh.in)
+		fillSpecial(rng, wm, sh.in)
+		fillSpecial(rng, bias, 1)
+		fillSpecial(rng, g, sh.out)
+		fillSpecial(rng, seedW, sh.in)
+		fillSpecial(rng, seedB, 1)
+
+		gotP, gotY := make([]float64, sh.n*sh.out), make([]float64, sh.n*sh.out)
+		wantP, wantY := make([]float64, sh.n*sh.out), make([]float64, sh.n*sh.out)
+		GemmBiasAct(gotP, gotY, x, wm, bias, sh.n, sh.in, sh.out, math.Tanh)
+		gemmBiasActGeneric(wantP, wantY, x, wm, bias, sh.n, sh.in, sh.out, math.Tanh)
+		sameBits(t, "preact", sh, gotP, wantP)
+		sameBits(t, "out", sh, gotY, wantY)
+
+		gotDx, wantDx := make([]float64, sh.n*sh.in), make([]float64, sh.n*sh.in)
+		for i := range gotDx {
+			gotDx[i] = math.NaN() // dx must be overwritten, not accumulated into
+		}
+		GemmNN(gotDx, g, wm, sh.n, sh.in, sh.out)
+		gemmNNGeneric(wantDx, g, wm, sh.n, sh.in, sh.out)
+		sameBits(t, "dx", sh, gotDx, wantDx)
+
+		gotW, gotB := append([]float64(nil), seedW...), append([]float64(nil), seedB...)
+		wantW, wantB := append([]float64(nil), seedW...), append([]float64(nil), seedB...)
+		AccumGrad(gotW, gotB, g, x, sh.n, sh.in, sh.out)
+		accumGradGeneric(wantW, wantB, g, x, sh.n, sh.in, sh.out)
+		sameBits(t, "gradW", sh, gotW, wantW)
+		sameBits(t, "gradB", sh, gotB, wantB)
+	}
+}

@@ -7,7 +7,10 @@ import (
 )
 
 // Dense is a fully connected layer y = act(W·x + b) with weights stored
-// row-major: W[out][in] at index out*In + in.
+// row-major: W[out][in] at index out*In + in.  Products in this package
+// are written float64(a*b), which the Go spec requires to round, so no
+// GOARCH fuses them into an FMA and the scalar loops stay bit-identical
+// to the blas kernels everywhere.
 type Dense struct {
 	In, Out int
 	W       []float64 // len In*Out
@@ -32,7 +35,9 @@ func NewDense(rng *rand.Rand, in, out int, act Activation) *Dense {
 	}
 	limit := math.Sqrt(6.0 / float64(in+out))
 	for i := range d.W {
-		d.W[i] = (2*rng.Float64() - 1) * limit
+		// Rounding u keeps rand's inlined scaling out of a fused 2u.
+		u := float64(rng.Float64())
+		d.W[i] = (float64(2*u) - 1) * limit
 	}
 	return d
 }
@@ -71,7 +76,7 @@ func (d *Dense) forwardInto(tr *Trace, x []float64) []float64 {
 		s := d.B[o]
 		row := d.W[o*d.In : (o+1)*d.In]
 		for i, xi := range x {
-			s += row[i] * xi
+			s += float64(row[i] * xi)
 		}
 		tr.preact[o] = s
 		tr.out[o] = d.Act.Apply(s)
@@ -121,8 +126,8 @@ func (d *Dense) Backward(tr *Trace, dy []float64) (dx []float64) {
 		row := d.W[o*d.In : (o+1)*d.In]
 		grow := d.GradW[o*d.In : (o+1)*d.In]
 		for i := 0; i < d.In; i++ {
-			grow[i] += g * tr.input[i]
-			dx[i] += g * row[i]
+			grow[i] += float64(g * tr.input[i])
+			dx[i] += float64(g * row[i])
 		}
 	}
 	return dx
@@ -148,7 +153,7 @@ func (d *Dense) InputGrad(tr *Trace, dy []float64) (dx []float64) {
 		}
 		row := d.W[o*d.In : (o+1)*d.In]
 		for i := 0; i < d.In; i++ {
-			dx[i] += g * row[i]
+			dx[i] += float64(g * row[i])
 		}
 	}
 	return dx

@@ -23,7 +23,7 @@ func (s *SGD) Step(params []ParamGrad, lr float64) {
 	if s.Momentum == 0 {
 		for _, pg := range params {
 			for i := range pg.Param {
-				pg.Param[i] -= lr * pg.Grad[i]
+				pg.Param[i] -= float64(lr * pg.Grad[i])
 			}
 		}
 		return
@@ -37,7 +37,7 @@ func (s *SGD) Step(params []ParamGrad, lr float64) {
 	for i, pg := range params {
 		v := s.velocity[i]
 		for j := range pg.Param {
-			v[j] = s.Momentum*v[j] - lr*pg.Grad[j]
+			v[j] = float64(s.Momentum*v[j]) - float64(lr*pg.Grad[j])
 			pg.Param[j] += v[j]
 		}
 	}
@@ -71,8 +71,8 @@ func (a *Adam) Step(params []ParamGrad, lr float64) {
 		m, v := a.m[i], a.v[i]
 		for j := range pg.Param {
 			g := pg.Grad[j]
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
+			m[j] = float64(a.Beta1*m[j]) + float64((1-a.Beta1)*g)
+			v[j] = float64(a.Beta2*v[j]) + float64((1-a.Beta2)*g*g)
 			mh := m[j] / c1
 			vh := v[j] / c2
 			pg.Param[j] -= lr * mh / (math.Sqrt(vh) + a.Eps)
